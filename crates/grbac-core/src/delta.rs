@@ -14,13 +14,13 @@
 //! Deltas name the *invalidated region*, not the new values — the new
 //! values are always recomputed from the engine's current state, which
 //! makes application idempotent and order-insensitive for everything
-//! except rule-position edits (those are replayed in schedule order,
-//! carrying the spec extracted by [`Rule`](crate::rule::Rule) at
-//! mutation time).
+//! except rule-position edits (those are replayed in schedule order;
+//! an added rule's specs are extracted by [`Rule`](crate::rule::Rule)
+//! at mutation time).
 
 use crate::id::{ObjectId, RoleId, SubjectId};
 use crate::role::RoleKind;
-use crate::rule::TransactionSpec;
+use crate::rule::{RoleSpec, TransactionSpec};
 
 /// The kinds of incremental policy change the index maintainer can
 /// apply, in dense-slot order (the `kind` label on
@@ -81,9 +81,10 @@ impl DeltaKind {
 
 /// One decision-relevant mutation, as recorded at the engine API
 /// boundary. Region deltas (roles, edges, assignments) carry only the
-/// invalidated identity; rule deltas additionally carry the bucket
-/// spec extracted from the rule at mutation time, because the final
-/// policy no longer knows where a since-removed rule used to sit.
+/// invalidated identity; rule deltas carry the policy position, and an
+/// added rule also the specs that place it in the rule postings,
+/// because by the time the delta is replayed a later edit may have
+/// removed the rule again.
 #[derive(Debug, Clone)]
 pub(crate) enum PolicyDelta {
     /// `role` joined the dense role space.
@@ -105,18 +106,18 @@ pub(crate) enum PolicyDelta {
     RuleAdded {
         /// Position the rule was appended at.
         position: u32,
-        /// The rule's transaction bucket.
+        /// The rule's transaction spec.
         transaction: TransactionSpec,
-        /// The rule's direct environment guard roles.
-        environment: Vec<RoleId>,
+        /// The rule's subject-role spec.
+        subject: RoleSpec,
+        /// The rule's object-role spec.
+        object: RoleSpec,
     },
     /// The rule at `position` was removed; later positions shifted
     /// down by one.
     RuleRemoved {
         /// Position the rule occupied when removed.
         position: u32,
-        /// The transaction bucket it occupied.
-        transaction: TransactionSpec,
     },
     /// `subject`'s direct role set changed; its cached expansion is
     /// stale.

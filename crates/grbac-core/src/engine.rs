@@ -664,6 +664,12 @@ impl Grbac {
             self.entities.transaction(t)?;
         }
         let id = RuleId::from_raw(self.rule_alloc.next());
+        // Grow the heat table's allocation with the id ceiling here,
+        // at the edit, so the next decide's index install never
+        // reallocates it.
+        self.metrics
+            .rule_heat
+            .reserve_room(self.rule_alloc.peek() as usize);
         self.rules.push(Rule::from_def(id, def));
         let position = (self.rules.len() - 1) as u32;
         let delta = self.rules[position as usize].added_delta(position);
@@ -673,13 +679,26 @@ impl Grbac {
 
     /// Removes a rule by id. Returns true if it existed.
     pub fn remove_rule(&mut self, id: RuleId) -> bool {
-        let Some(position) = self.rules.iter().position(|r| r.id() == id) else {
+        let Some(position) = self.rule_position(id) else {
             return false;
         };
-        let delta = self.rules[position].removed_delta(position as u32);
         self.rules.remove(position);
-        self.touch(delta);
+        self.touch(PolicyDelta::RuleRemoved {
+            position: position as u32,
+        });
         true
+    }
+
+    /// The policy position of rule `id`. Ids are minted in ascending
+    /// order and rules are only appended or removed in place, so the
+    /// policy is sorted by id and a binary search finds the rule. A
+    /// miss falls back to a linear scan, which only finds the rule in a
+    /// deserialized snapshot whose rules are out of id order.
+    fn rule_position(&self, id: RuleId) -> Option<usize> {
+        self.rules
+            .binary_search_by_key(&id, Rule::id)
+            .ok()
+            .or_else(|| self.rules.iter().position(|r| r.id() == id))
     }
 
     /// The registered rules in policy order.
@@ -898,10 +917,8 @@ impl Grbac {
     /// one, its id rendering (`rule<id>`) otherwise.
     #[must_use]
     pub fn rule_label(&self, rule: RuleId) -> String {
-        self.rules
-            .iter()
-            .find(|r| r.id() == rule)
-            .and_then(Rule::name)
+        self.rule_position(rule)
+            .and_then(|position| self.rules[position].name())
             .map_or_else(|| rule.to_string(), str::to_owned)
     }
 
@@ -935,8 +952,8 @@ impl Grbac {
     /// Mediates a request without recording it (pure; `&self`).
     ///
     /// Runs on the compiled mediation index: candidate rules come from
-    /// the transaction-keyed rule index, role expansions from cached
-    /// bitset closures. The outcome is identical to the retained
+    /// the rule postings of the request's transaction and roles, role
+    /// expansions from cached bitset closures. The outcome is identical to the retained
     /// reference scan ([`decide_naive`](Self::decide_naive)) — the
     /// `prop_index` differential suite holds the two paths equal.
     ///
@@ -1306,13 +1323,20 @@ impl Grbac {
             },
         );
 
-        // 3. Match candidate rules in policy order.
+        // 3. Match candidate rules in policy order: those the rule
+        //    postings admit for the request's transaction, the
+        //    requester's roles and the object's roles.
         let span = sink.enter(Stage::CandidateMerge);
-        let candidates = index.rules.candidates(request.transaction);
-        let candidate_count = candidates.len() as u64;
-        let mut matched = Vec::with_capacity(candidates.len());
+        let candidates = index.rules.candidates(
+            request.transaction,
+            subject.roles(),
+            object.expanded.iter().copied(),
+        );
+        let mut candidate_count = 0u64;
+        let mut matched = Vec::new();
         let mut confidence_near_miss: Option<(Confidence, Confidence)> = None;
         for position in candidates {
+            candidate_count += 1;
             let rule = &self.rules[position];
             let object_distance = match rule.object_role() {
                 RoleSpec::Any => usize::MAX,
@@ -1323,7 +1347,11 @@ impl Grbac {
                     index.closures.min_distance(&object.direct, ro)
                 }
             };
-            if !environment.covers(index.rules.env_mask(position)) {
+            if !rule
+                .environment_roles()
+                .iter()
+                .all(|&role| environment.contains(role))
+            {
                 continue;
             }
             let (subject_distance, subject_confidence) = match rule.subject_role() {
@@ -1784,6 +1812,21 @@ impl SubjectView<'_> {
             SubjectView::Full(expansion) => &expansion.direct,
             SubjectView::Mixed { direct, .. } => direct,
         }
+    }
+
+    /// The expanded roles the requester holds: for a sensed actor,
+    /// every role with a confidence, including those below a rule's
+    /// threshold, so confidence near-misses are still found.
+    fn roles(&self) -> impl Iterator<Item = RoleId> + '_ {
+        let (expanded, conf) = match self {
+            SubjectView::Full(expansion) => (Some(&expansion.expanded), None),
+            SubjectView::Mixed { conf, .. } => (None, Some(conf)),
+        };
+        expanded
+            .into_iter()
+            .flatten()
+            .chain(conf.into_iter().flat_map(BTreeMap::keys))
+            .copied()
     }
 
     /// Number of expanded roles the requester holds (trace item count).
@@ -2280,6 +2323,66 @@ mod tests {
             .decide(&AccessRequest::by_subject(f.bobby, f.use_t, f.tv, env))
             .unwrap();
         assert!(!d.is_permitted());
+    }
+
+    /// An engine with `n` named rules, each granting its own
+    /// transaction, and the ids in policy order.
+    fn numbered_rules(n: usize) -> (Grbac, Vec<RuleId>) {
+        let mut g = Grbac::new();
+        let t = g.declare_transaction("t").unwrap();
+        let ids = (0..n)
+            .map(|i| {
+                g.add_rule(RuleDef::permit().named(format!("r{i}")).transaction(t))
+                    .unwrap()
+            })
+            .collect();
+        (g, ids)
+    }
+
+    fn policy_ids(g: &Grbac) -> Vec<RuleId> {
+        g.rules().iter().map(Rule::id).collect()
+    }
+
+    #[test]
+    fn remove_rule_finds_first_middle_last_and_refuses_unknown() {
+        let (mut g, ids) = numbered_rules(9);
+        for i in [0, 4, 8] {
+            let removed = ids[i];
+            assert_eq!(g.rule_label(removed), format!("r{i}"));
+            assert!(g.remove_rule(removed));
+            assert!(!g.remove_rule(removed), "already removed");
+            assert_eq!(g.rule_label(removed), removed.to_string());
+        }
+        let remaining: Vec<RuleId> = ids
+            .iter()
+            .copied()
+            .filter(|id| ![ids[0], ids[4], ids[8]].contains(id))
+            .collect();
+        assert_eq!(policy_ids(&g), remaining);
+        let generation = g.policy_generation();
+        assert!(!g.remove_rule(RuleId::from_raw(1_000)));
+        assert_eq!(g.policy_generation(), generation, "a miss edits nothing");
+        assert!(g.compiled_matches_rebuild());
+    }
+
+    #[test]
+    fn remove_rule_finds_rules_of_an_out_of_order_snapshot() {
+        let (mut g, ids) = numbered_rules(7);
+        // A snapshot whose rules array is out of id order.
+        g.rules.reverse();
+        let json = serde_json::to_string(&g).unwrap();
+        let mut reloaded: Grbac = serde_json::from_str(&json).unwrap();
+        let mut expected: Vec<RuleId> = ids.iter().rev().copied().collect();
+        assert_eq!(policy_ids(&reloaded), expected);
+        for i in [3, 0, 6, 5] {
+            let removed = ids[i];
+            assert_eq!(reloaded.rule_label(removed), format!("r{i}"));
+            assert!(reloaded.remove_rule(removed), "removing {removed}");
+            expected.retain(|&id| id != removed);
+            assert_eq!(policy_ids(&reloaded), expected);
+            assert!(reloaded.compiled_matches_rebuild());
+        }
+        assert!(!reloaded.remove_rule(ids[3]));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Compiled mediation index: precomputed role closures, a
-//! transaction-keyed rule index, and cached entity expansions.
+//! Compiled mediation index: precomputed role closures, bitset rule
+//! postings, and cached entity expansions.
 //!
 //! [`Grbac::decide`](crate::engine::Grbac::decide) answers each request
 //! by (1) hierarchy-expanding the requester's, object's and
@@ -16,11 +16,12 @@
 //!   dense role-id space, plus sorted `(ancestor, distance)` rows that
 //!   answer [`distance_up`](crate::hierarchy::RoleHierarchy::distance_up)
 //!   queries by binary search instead of BFS;
-//! * [`RuleIndex`] — rule positions bucketed by their
-//!   [`TransactionSpec`](crate::rule::TransactionSpec): an exact bucket
-//!   per transaction plus one `Any` bucket, merged in policy order so
-//!   conflict resolution sees the same sequence the naive scan
-//!   produces;
+//! * [`RuleIndex`] — rule postings, bitsets over policy positions: a
+//!   row per role (the rules naming it as subject or object role), per
+//!   transaction, and per `Any` wildcard. A request's candidates are
+//!   the intersection of its transaction's, its requester's and its
+//!   object's rows, walked in ascending position so conflict
+//!   resolution sees the same sequence the naive scan produces;
 //! * [`CachedExpansion`] — hierarchy-expanded role sets (as both
 //!   `BTreeSet` and bitset) for every assigned subject and object.
 //!
@@ -34,7 +35,7 @@
 //! # Incremental maintenance
 //!
 //! The index is split into four independently `Arc`'d shards —
-//! closures, rule buckets, subject expansions, object expansions.
+//! closures, rule postings, subject expansions, object expansions.
 //! When the engine's [`DeltaLog`](crate::delta::DeltaLog) still covers
 //! the gap between the cached generation and the current one,
 //! [`CompiledIndex::apply_deltas`] builds the next index by cloning
@@ -45,7 +46,9 @@
 //! frontier-propagate (the edge's lower endpoint plus all its
 //! specializations recompute their closure rows); past a damage
 //! threshold — or when the dense role space outgrows its bitset word
-//! budget — the planner falls back to a full rebuild.
+//! budget — the planner falls back to a full rebuild. Rule edits patch
+//! the postings in one buffer copy, whose row width follows the rule
+//! count across multiples of 64.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::{Arc, RwLock};
@@ -55,7 +58,7 @@ use crate::delta::PolicyDelta;
 use crate::hierarchy::RoleHierarchy;
 use crate::id::{ObjectId, RoleId, SubjectId, TransactionId};
 use crate::role::RoleCatalog;
-use crate::rule::{Rule, TransactionSpec};
+use crate::rule::{RoleSpec, Rule, TransactionSpec};
 use crate::telemetry::MetricsRegistry;
 
 /// Precomputed upward closures and pairwise upward distances for every
@@ -260,8 +263,8 @@ impl RoleClosures {
 }
 
 /// A role set with its hierarchy expansion, in both ordered-set form
-/// (for explanations and confidence lookups) and bitset form (for
-/// subset tests against rule masks).
+/// (for explanations, confidence lookups and posting unions) and
+/// bitset form (for membership tests).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct CachedExpansion {
     /// The direct (unexpanded) roles.
@@ -279,198 +282,342 @@ impl CachedExpansion {
         let word = raw / 64;
         word < self.bits.len() && self.bits[word] & (1 << (raw % 64)) != 0
     }
-
-    /// True if every bit of `mask` is set in this expansion.
-    pub(crate) fn covers(&self, mask: &[u64]) -> bool {
-        debug_assert_eq!(mask.len(), self.bits.len());
-        mask.iter()
-            .zip(&self.bits)
-            .all(|(required, held)| required & !held == 0)
-    }
 }
 
-/// Rule positions bucketed by transaction, plus per-rule environment
-/// masks, so `decide` visits only rules that could match the request's
-/// transaction and tests their environment guard in `O(words)`.
+/// Row of the rules whose subject spec is `Any`.
+const SUBJECT_ANY: usize = 0;
+/// Row of the rules whose object spec is `Any`.
+const OBJECT_ANY: usize = 1;
+/// Row of the rules whose transaction spec is `Any`.
+const TRANSACTION_ANY: usize = 2;
+/// Row of dense role id 0. The role rows run on to the transaction
+/// rows.
+const FIRST_ROLE: usize = 3;
+
+/// Rule postings: bitsets over policy positions, so that `decide`
+/// visits only the rules whose subject, object and transaction specs
+/// the request can meet.
+///
+/// Bit `p` of a row stands for the rule at policy position `p`. There
+/// is one row per dense role id (the rules naming that role as their
+/// subject or object role), one wildcard row each for subject, object
+/// and transaction `Any`, and one row per transaction up to the
+/// highest raw transaction id a rule names. The rows live in one flat
+/// row-major buffer of `⌈rules / 64⌉` words per row.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct RuleIndex {
-    /// Positions of rules with `TransactionSpec::Is(t)`, keyed by raw
-    /// transaction id, each ascending.
-    exact: HashMap<u64, Vec<u32>>,
-    /// Positions of rules with `TransactionSpec::Any`, ascending.
-    any_bucket: Vec<u32>,
-    /// `rules.len()` rows of `words` words: row `p` is the bitset of
-    /// rule `p`'s (expanded-by-nothing, direct) environment roles.
-    env_masks: Vec<u64>,
+    /// Rules covered: the policy length.
+    len: usize,
+    /// Words per row, `⌈len / 64⌉`.
     words: usize,
+    /// Role rows, one per dense role id.
+    roles: usize,
+    /// Transaction rows, one per raw transaction id below the highest
+    /// one a rule names, plus that one.
+    transactions: usize,
+    /// The wildcard rows, then the role rows, then the transaction
+    /// rows, `words` words each.
+    rows: Vec<u64>,
 }
 
 impl RuleIndex {
-    fn build(rules: &[Rule], words: usize) -> Self {
-        let mut exact: HashMap<u64, Vec<u32>> = HashMap::new();
-        let mut any_bucket = Vec::new();
-        let mut env_masks = vec![0u64; rules.len() * words];
-        for (position, rule) in rules.iter().enumerate() {
-            match rule.transaction() {
-                TransactionSpec::Is(t) => {
-                    exact.entry(t.as_raw()).or_default().push(position as u32);
-                }
-                TransactionSpec::Any => any_bucket.push(position as u32),
-            }
-            for &env in rule.environment_roles() {
-                let raw = env.as_raw() as usize;
-                env_masks[position * words + raw / 64] |= 1 << (raw % 64);
-            }
-        }
-        Self {
-            exact,
-            any_bucket,
-            env_masks,
-            words,
-        }
-    }
-
-    /// Patches in a rule appended at `position` (which must equal the
-    /// pre-push policy length): one push into its transaction bucket
-    /// plus one fresh environment-mask row. Returns `false` when the
-    /// delta does not line up with this index's shape or an
-    /// environment role falls outside the current word budget.
-    fn apply_add(
-        &mut self,
-        position: u32,
-        transaction: TransactionSpec,
-        environment: &[RoleId],
-    ) -> bool {
-        if position as usize * self.words != self.env_masks.len() {
-            return false;
-        }
-        match transaction {
-            TransactionSpec::Is(t) => self.exact.entry(t.as_raw()).or_default().push(position),
-            TransactionSpec::Any => self.any_bucket.push(position),
-        }
-        let offset = self.env_masks.len();
-        self.env_masks.resize(offset + self.words, 0);
-        for &env in environment {
-            let raw = env.as_raw() as usize;
-            if raw / 64 >= self.words {
-                return false;
-            }
-            self.env_masks[offset + raw / 64] |= 1 << (raw % 64);
-        }
-        true
-    }
-
-    /// Patches out the rule at `position`: drop it from its
-    /// transaction bucket, renumber every later position down by one
-    /// (the bounded cost of positional bucket encoding), and splice
-    /// its environment-mask row out. Returns `false` when the delta
-    /// does not line up with this index's shape.
-    fn apply_remove(&mut self, position: u32, transaction: TransactionSpec) -> bool {
-        let bucket = match transaction {
-            TransactionSpec::Is(t) => match self.exact.get_mut(&t.as_raw()) {
-                Some(bucket) => bucket,
-                None => return false,
-            },
-            TransactionSpec::Any => &mut self.any_bucket,
-        };
-        let Ok(slot) = bucket.binary_search(&position) else {
-            return false;
-        };
-        bucket.remove(slot);
-        if let TransactionSpec::Is(t) = transaction {
-            // Drained exact buckets vanish, matching a fresh build.
-            if self.exact.get(&t.as_raw()).is_some_and(Vec::is_empty) {
-                self.exact.remove(&t.as_raw());
-            }
-        }
-        for bucket in self.exact.values_mut().chain([&mut self.any_bucket]) {
-            for p in bucket.iter_mut() {
-                if *p > position {
-                    *p -= 1;
-                }
-            }
-        }
-        let start = position as usize * self.words;
-        if start + self.words > self.env_masks.len() {
-            return false;
-        }
-        self.env_masks.drain(start..start + self.words);
-        true
-    }
-
-    /// Rule positions that could match `transaction`, in policy order —
-    /// the exact bucket merged with the `Any` bucket.
-    pub(crate) fn candidates(&self, transaction: TransactionId) -> Candidates<'_> {
-        Candidates {
-            exact: self
-                .exact
-                .get(&transaction.as_raw())
-                .map_or(&[][..], Vec::as_slice),
-            any: &self.any_bucket,
-        }
-    }
-
-    /// The environment-role bitset of the rule at `position`.
-    pub(crate) fn env_mask(&self, position: usize) -> &[u64] {
-        &self.env_masks[position * self.words..(position + 1) * self.words]
-    }
-
-    /// Number of non-empty buckets (exact transactions plus the `Any`
-    /// bucket when populated).
-    fn bucket_count(&self) -> usize {
-        self.exact.len() + usize::from(!self.any_bucket.is_empty())
-    }
-
-    /// Size of the largest bucket.
-    fn max_bucket(&self) -> usize {
-        self.exact
-            .values()
-            .map(Vec::len)
-            .chain([self.any_bucket.len()])
+    fn build(rules: &[Rule], roles: usize) -> Self {
+        let transactions = rules
+            .iter()
+            .filter_map(|rule| rule.transaction().transaction())
+            .map(|t| t.as_raw() as usize + 1)
             .max()
-            .unwrap_or(0)
+            .unwrap_or(0);
+        let words = rules.len().div_ceil(64);
+        let mut index = Self {
+            len: rules.len(),
+            words,
+            roles,
+            transactions,
+            rows: vec![0; (FIRST_ROLE + roles + transactions) * words],
+        };
+        for (position, rule) in rules.iter().enumerate() {
+            index.insert(
+                position,
+                rule.subject_role(),
+                rule.object_role(),
+                rule.transaction(),
+            );
+        }
+        index
+    }
+
+    fn row_count(&self) -> usize {
+        FIRST_ROLE + self.roles + self.transactions
+    }
+
+    fn row(&self, row: usize) -> &[u64] {
+        &self.rows[row * self.words..(row + 1) * self.words]
+    }
+
+    /// The row of a subject or object spec; `any` is the side's
+    /// wildcard row. `None` for a role outside the dense role space.
+    fn role_row(&self, spec: RoleSpec, any: usize) -> Option<usize> {
+        match spec {
+            RoleSpec::Any => Some(any),
+            RoleSpec::Is(role) => {
+                let raw = role.as_raw() as usize;
+                (raw < self.roles).then_some(FIRST_ROLE + raw)
+            }
+        }
+    }
+
+    /// The row of a transaction spec; `None` for a transaction no rule
+    /// names.
+    fn transaction_row(&self, spec: TransactionSpec) -> Option<usize> {
+        match spec {
+            TransactionSpec::Any => Some(TRANSACTION_ANY),
+            TransactionSpec::Is(t) => {
+                let raw = t.as_raw() as usize;
+                (raw < self.transactions).then_some(FIRST_ROLE + self.roles + raw)
+            }
+        }
+    }
+
+    /// Marks the rule at `position` in the rows its specs name. A rule
+    /// naming a role outside the dense role space gets no bit on that
+    /// side: no requester or object can hold such a role, so the rule
+    /// can never apply.
+    fn insert(
+        &mut self,
+        position: usize,
+        subject: RoleSpec,
+        object: RoleSpec,
+        transaction: TransactionSpec,
+    ) {
+        let rows = [
+            self.role_row(subject, SUBJECT_ANY),
+            self.role_row(object, OBJECT_ANY),
+            self.transaction_row(transaction),
+        ];
+        for row in rows.into_iter().flatten() {
+            self.rows[row * self.words + position / 64] |= 1 << (position % 64);
+        }
+    }
+
+    /// The postings after the rule edits in `deltas`, over `roles`
+    /// role rows, or `None` when a rule delta does not line up with
+    /// the policy length.
+    ///
+    /// The rows are copied once, into the widest shape the batch
+    /// passes through; the edits are then replayed in schedule order
+    /// (an add sets its three bits, a remove shifts its bit out of
+    /// every row). A batch that ends below its peak width narrows the
+    /// copy in place, and transaction rows a removal emptied at the top
+    /// are dropped, so the result equals a fresh build.
+    fn patched(&self, deltas: &[PolicyDelta], roles: usize) -> Option<Self> {
+        let (mut len, mut peak, mut transactions) = (self.len, self.len, self.transactions);
+        for delta in deltas {
+            match *delta {
+                PolicyDelta::RuleAdded {
+                    position,
+                    transaction,
+                    ..
+                } => {
+                    if position as usize != len {
+                        return None;
+                    }
+                    len += 1;
+                    peak = peak.max(len);
+                    if let TransactionSpec::Is(t) = transaction {
+                        transactions = transactions.max(t.as_raw() as usize + 1);
+                    }
+                }
+                PolicyDelta::RuleRemoved { position } => {
+                    if position as usize >= len {
+                        return None;
+                    }
+                    len -= 1;
+                }
+                _ => {}
+            }
+        }
+        let mut next = self.relaid(peak.div_ceil(64), roles, transactions);
+        for delta in deltas {
+            match *delta {
+                PolicyDelta::RuleAdded {
+                    position,
+                    transaction,
+                    subject,
+                    object,
+                } => next.insert(position as usize, subject, object, transaction),
+                PolicyDelta::RuleRemoved { position } => {
+                    for row in next.rows.chunks_exact_mut(next.words) {
+                        remove_bit(row, position as usize);
+                    }
+                }
+                _ => {}
+            }
+        }
+        next.len = len;
+        next.narrow(len.div_ceil(64));
+        while next.transactions > 0 && next.row(next.row_count() - 1).iter().all(|&w| w == 0) {
+            next.transactions -= 1;
+        }
+        next.rows.truncate(next.row_count() * next.words);
+        Some(next)
+    }
+
+    /// A copy with `words` words per row and room for `roles` role rows
+    /// and `transactions` transaction rows, none of which may shrink.
+    fn relaid(&self, words: usize, roles: usize, transactions: usize) -> Self {
+        debug_assert!(words >= self.words && roles >= self.roles);
+        debug_assert!(transactions >= self.transactions);
+        let mut rows = Vec::with_capacity((FIRST_ROLE + roles + transactions) * words);
+        let copy = |rows: &mut Vec<u64>, old: std::ops::Range<usize>| {
+            for row in old {
+                rows.extend_from_slice(self.row(row));
+                rows.resize(rows.len() + words - self.words, 0);
+            }
+        };
+        copy(&mut rows, 0..FIRST_ROLE + self.roles);
+        rows.resize((FIRST_ROLE + roles) * words, 0);
+        copy(&mut rows, FIRST_ROLE + self.roles..self.row_count());
+        rows.resize((FIRST_ROLE + roles + transactions) * words, 0);
+        Self {
+            len: self.len,
+            words,
+            roles,
+            transactions,
+            rows,
+        }
+    }
+
+    /// Drops the top words of every row, which must be clear, moving
+    /// the rows down in place.
+    fn narrow(&mut self, words: usize) {
+        if words == self.words {
+            return;
+        }
+        for row in 0..self.row_count() {
+            let start = row * self.words;
+            debug_assert!(self.rows[start + words..start + self.words]
+                .iter()
+                .all(|&w| w == 0));
+            self.rows.copy_within(start..start + words, row * words);
+        }
+        self.rows.truncate(self.row_count() * words);
+        self.words = words;
+    }
+
+    /// Positions of the rules that could apply to a request, ascending
+    /// (policy order): (transaction row ∪ transaction `Any`) ∩ (⋃ rows
+    /// of `subject_roles` ∪ subject `Any`) ∩ (⋃ rows of `object_roles`
+    /// ∪ object `Any`). Environment guards and confidence thresholds
+    /// are left to the caller's per-rule checks.
+    pub(crate) fn candidates(
+        &self,
+        transaction: TransactionId,
+        subject_roles: impl IntoIterator<Item = RoleId>,
+        object_roles: impl IntoIterator<Item = RoleId>,
+    ) -> Candidates {
+        let mut buffer = vec![0; 2 * self.words];
+        let (bits, union) = buffer.split_at_mut(self.words);
+        bits.copy_from_slice(self.row(TRANSACTION_ANY));
+        if let Some(row) = self.transaction_row(TransactionSpec::Is(transaction)) {
+            or_into(bits, self.row(row));
+        }
+        self.restrict(bits, union, SUBJECT_ANY, subject_roles);
+        self.restrict(bits, union, OBJECT_ANY, object_roles);
+        buffer.truncate(self.words);
+        Candidates::new(buffer)
+    }
+
+    /// Intersects `bits` with the union of the `any` row and the rows
+    /// of `roles`, building the union in `union`.
+    fn restrict(
+        &self,
+        bits: &mut [u64],
+        union: &mut [u64],
+        any: usize,
+        roles: impl IntoIterator<Item = RoleId>,
+    ) {
+        union.copy_from_slice(self.row(any));
+        for role in roles {
+            if let Some(row) = self.role_row(RoleSpec::Is(role), any) {
+                or_into(union, self.row(row));
+            }
+        }
+        for (bit, held) in bits.iter_mut().zip(union.iter()) {
+            *bit &= held;
+        }
+    }
+
+    /// Rules per transaction row, the `Any` row included.
+    fn transaction_row_sizes(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.transactions)
+            .map(|t| FIRST_ROLE + self.roles + t)
+            .chain([TRANSACTION_ANY])
+            .map(|row| self.row(row).iter().map(|w| w.count_ones() as usize).sum())
+    }
+
+    /// Number of non-empty transaction rows, the `Any` row included.
+    fn bucket_count(&self) -> usize {
+        self.transaction_row_sizes()
+            .filter(|&size| size > 0)
+            .count()
+    }
+
+    /// Size of the largest transaction row.
+    fn max_bucket(&self) -> usize {
+        self.transaction_row_sizes().max().unwrap_or(0)
     }
 }
 
-/// Position-ordered merge of a transaction's exact bucket with the
-/// `Any` bucket.
-pub(crate) struct Candidates<'a> {
-    exact: &'a [u32],
-    any: &'a [u32],
-}
-
-impl Candidates<'_> {
-    /// Upper bound on matches — used to size the `matched` vector.
-    pub(crate) fn len(&self) -> usize {
-        self.exact.len() + self.any.len()
+fn or_into(bits: &mut [u64], row: &[u64]) {
+    for (bit, posted) in bits.iter_mut().zip(row) {
+        *bit |= posted;
     }
 }
 
-impl Iterator for Candidates<'_> {
+/// Removes bit `position` from a bitset row: the bits above it move
+/// down one place, across word boundaries, and the top bit clears.
+fn remove_bit(row: &mut [u64], position: usize) {
+    let (word, bit) = (position / 64, position % 64);
+    let below = (1u64 << bit) - 1;
+    row[word] = (row[word] & below) | ((row[word] >> 1) & !below);
+    for i in word + 1..row.len() {
+        row[i - 1] |= row[i] << 63;
+        row[i] >>= 1;
+    }
+}
+
+/// The set bits of a candidate bitset, ascending.
+pub(crate) struct Candidates {
+    bits: Vec<u64>,
+    /// The word `rest` was taken from.
+    word: usize,
+    /// The not yet visited bits of `bits[word]`.
+    rest: u64,
+}
+
+impl Candidates {
+    fn new(bits: Vec<u64>) -> Self {
+        let rest = bits.first().copied().unwrap_or(0);
+        Self {
+            bits,
+            word: 0,
+            rest,
+        }
+    }
+}
+
+impl Iterator for Candidates {
     type Item = usize;
 
     fn next(&mut self) -> Option<usize> {
-        let next = match (self.exact.first(), self.any.first()) {
-            (Some(&e), Some(&a)) => {
-                if e < a {
-                    self.exact = &self.exact[1..];
-                    e
-                } else {
-                    self.any = &self.any[1..];
-                    a
-                }
-            }
-            (Some(&e), None) => {
-                self.exact = &self.exact[1..];
-                e
-            }
-            (None, Some(&a)) => {
-                self.any = &self.any[1..];
-                a
-            }
-            (None, None) => return None,
-        };
-        Some(next as usize)
+        while self.rest == 0 {
+            self.word += 1;
+            self.rest = *self.bits.get(self.word)?;
+        }
+        let bit = self.rest.trailing_zeros() as usize;
+        self.rest &= self.rest - 1;
+        Some(self.word * 64 + bit)
     }
 }
 
@@ -497,7 +644,7 @@ const DAMAGE_FLOOR: usize = 8;
 impl CompiledIndex {
     pub(crate) fn build(catalog: &RoleCatalog, assignments: &Assignments, rules: &[Rule]) -> Self {
         let closures = RoleClosures::build(catalog);
-        let rule_index = RuleIndex::build(rules, closures.words());
+        let rule_index = RuleIndex::build(rules, closures.role_count());
         let subjects = assignments
             .subjects_with_roles()
             .map(|(id, roles)| (id.as_raw(), closures.expand(roles.iter().copied())))
@@ -621,26 +768,10 @@ impl CompiledIndex {
             Arc::new(next)
         };
 
-        let rules = if rule_edits {
-            let mut next = RuleIndex::clone(&self.rules);
-            for delta in deltas {
-                let applied = match delta {
-                    PolicyDelta::RuleAdded {
-                        position,
-                        transaction,
-                        environment,
-                    } => next.apply_add(*position, *transaction, environment),
-                    PolicyDelta::RuleRemoved {
-                        position,
-                        transaction,
-                    } => next.apply_remove(*position, *transaction),
-                    _ => true,
-                };
-                if !applied {
-                    return None;
-                }
-            }
-            Arc::new(next)
+        // Rule edits patch the postings; a grown role space adds empty
+        // role rows.
+        let rules = if rule_edits || required_roles > self.rules.roles {
+            Arc::new(self.rules.patched(deltas, required_roles)?)
         } else {
             Arc::clone(&self.rules)
         };
@@ -882,15 +1013,187 @@ mod tests {
         );
     }
 
+    /// A row with every bit set below `len`.
+    fn full_row(len: usize) -> Vec<u64> {
+        let mut row = vec![0u64; len.div_ceil(64)];
+        for position in 0..len {
+            row[position / 64] |= 1 << (position % 64);
+        }
+        row
+    }
+
     #[test]
-    fn candidates_merge_preserves_policy_order() {
-        let candidates = Candidates {
-            exact: &[1, 4, 6],
-            any: &[0, 5],
+    fn remove_bit_shifts_across_word_boundaries() {
+        // Bit p of `marked` set for p in {0, 5, 63, 64, 100, 191}.
+        let marked = [0usize, 5, 63, 64, 100, 191];
+        let mut row = vec![0u64; 3];
+        for &p in &marked {
+            row[p / 64] |= 1 << (p % 64);
+        }
+        for removed in [0usize, 63, 64, 191, 150] {
+            let mut shifted = row.clone();
+            remove_bit(&mut shifted, removed);
+            let expected: Vec<usize> = marked
+                .iter()
+                .filter(|&&p| p != removed)
+                .map(|&p| if p > removed { p - 1 } else { p })
+                .collect();
+            let got: Vec<usize> = Candidates::new(shifted).collect();
+            assert_eq!(got, expected, "removing bit {removed}");
+        }
+        // A full row loses exactly its top bit, wherever the removal.
+        for removed in [0usize, 63, 64, 127] {
+            let mut row = full_row(128);
+            remove_bit(&mut row, removed);
+            assert_eq!(row, full_row(127), "removing bit {removed} of 128");
+        }
+        let mut last_word = full_row(130);
+        remove_bit(&mut last_word, 129);
+        assert_eq!(last_word, full_row(129));
+    }
+
+    #[test]
+    fn candidates_ascend_in_policy_order() {
+        let bits = vec![1 << 63 | 1 << 2, 0, 1, 1 << 40 | 1 << 7];
+        let order: Vec<usize> = Candidates::new(bits).collect();
+        assert_eq!(order, vec![2, 63, 128, 199, 232]);
+        assert_eq!(Candidates::new(Vec::new()).count(), 0);
+        assert_eq!(Candidates::new(vec![0, 0]).count(), 0);
+    }
+
+    type Specs = (RoleSpec, RoleSpec, TransactionSpec);
+
+    /// Rules with the given (subject, object, transaction) specs.
+    fn rules_of(specs: &[Specs]) -> Vec<Rule> {
+        specs
+            .iter()
+            .enumerate()
+            .map(|(i, &(subject_role, object_role, transaction))| {
+                let def = crate::rule::RuleDef {
+                    subject_role,
+                    object_role,
+                    transaction,
+                    ..crate::rule::RuleDef::permit()
+                };
+                Rule::from_def(crate::id::RuleId::from_raw(i as u64), def)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn candidates_intersect_the_three_sides() {
+        let (catalog, [home_user, family, parent, device]) = catalog_with_chain();
+        let use_t = TransactionId::from_raw(0);
+        let open_t = TransactionId::from_raw(1);
+        let rules = rules_of(&[
+            (
+                RoleSpec::Is(parent),
+                RoleSpec::Is(device),
+                TransactionSpec::Is(use_t),
+            ),
+            (
+                RoleSpec::Any,
+                RoleSpec::Is(device),
+                TransactionSpec::Is(open_t),
+            ),
+            (RoleSpec::Is(home_user), RoleSpec::Any, TransactionSpec::Any),
+            (
+                RoleSpec::Is(family),
+                RoleSpec::Is(device),
+                TransactionSpec::Is(use_t),
+            ),
+            (RoleSpec::Any, RoleSpec::Any, TransactionSpec::Is(use_t)),
+        ]);
+        let index = RuleIndex::build(&rules, RoleClosures::build(&catalog).role_count());
+        let candidates = |t, subject: &[RoleId], object: &[RoleId]| -> Vec<usize> {
+            index
+                .candidates(t, subject.iter().copied(), object.iter().copied())
+                .collect()
         };
-        assert_eq!(candidates.len(), 5);
-        let order: Vec<usize> = candidates.collect();
-        assert_eq!(order, vec![0, 1, 4, 5, 6]);
+        // `family` expands to {family, home_user}.
+        assert_eq!(
+            candidates(use_t, &[family, home_user], &[device]),
+            vec![2, 3, 4]
+        );
+        assert_eq!(
+            candidates(open_t, &[family, home_user], &[device]),
+            vec![1, 2]
+        );
+        assert_eq!(candidates(use_t, &[parent], &[]), vec![4]);
+        assert_eq!(candidates(open_t, &[], &[]), Vec::<usize>::new());
+        assert_eq!(index.bucket_count(), 3);
+        assert_eq!(index.max_bucket(), 3);
+    }
+
+    #[test]
+    fn patched_postings_cross_word_boundaries_like_a_rebuild() {
+        let (catalog, [home_user, _, parent, device]) = catalog_with_chain();
+        let roles = RoleClosures::build(&catalog).role_count();
+        let t = |raw| TransactionSpec::Is(TransactionId::from_raw(raw));
+        let base: Vec<Specs> = (0..128usize)
+            .map(|i| {
+                (
+                    if i.is_multiple_of(3) {
+                        RoleSpec::Any
+                    } else {
+                        RoleSpec::Is(parent)
+                    },
+                    if i.is_multiple_of(5) {
+                        RoleSpec::Is(device)
+                    } else {
+                        RoleSpec::Any
+                    },
+                    if i.is_multiple_of(7) {
+                        TransactionSpec::Any
+                    } else {
+                        t(i as u64 % 3)
+                    },
+                )
+            })
+            .collect();
+        let rebuild = |specs: &[Specs]| RuleIndex::build(&rules_of(specs), roles);
+        let index = rebuild(&base);
+        assert_eq!(index.words, 2);
+        // One add crosses into a third word; a removal anywhere brings
+        // the rows back to two. The top transaction (raw 5) is only
+        // named by the added rule, so its row goes when that rule does.
+        let added = (RoleSpec::Is(home_user), RoleSpec::Any, t(5));
+        let add = rules_of(&[added])[0].added_delta(128);
+        for removed in [128usize, 0, 63, 64, 100] {
+            let mut specs = base.clone();
+            specs.push(added);
+            let wide = index
+                .patched(std::slice::from_ref(&add), roles)
+                .expect("append lines up");
+            assert_eq!(wide.words, 3);
+            assert_eq!(wide, rebuild(&specs));
+            specs.remove(removed);
+            let remove = PolicyDelta::RuleRemoved {
+                position: removed as u32,
+            };
+            let narrow = wide.patched(&[remove], roles).expect("removal lines up");
+            assert_eq!(narrow.words, 2, "removing {removed} narrows the rows");
+            assert_eq!(narrow, rebuild(&specs), "removing {removed}");
+        }
+        // A batch that widens and narrows again, and declares roles,
+        // is one patch.
+        let any = (RoleSpec::Any, RoleSpec::Any, TransactionSpec::Any);
+        let batch = [
+            rules_of(&[any])[0].added_delta(128),
+            PolicyDelta::RuleRemoved { position: 3 },
+        ];
+        let patched = index.patched(&batch, roles + 2).expect("batch lines up");
+        let mut specs = base.clone();
+        specs.push(any);
+        specs.remove(3);
+        assert_eq!(patched, RuleIndex::build(&rules_of(&specs), roles + 2));
+        // Deltas that do not line up with the policy length refuse.
+        assert!(index
+            .patched(&[PolicyDelta::RuleRemoved { position: 128 }], roles)
+            .is_none());
+        assert!(index
+            .patched(&[rules_of(&[any])[0].added_delta(127)], roles)
+            .is_none());
     }
 
     #[test]

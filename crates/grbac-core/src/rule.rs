@@ -138,24 +138,15 @@ impl Rule {
     }
 
     /// Extracts the delta recorded when this rule is appended at
-    /// `position`: the transaction bucket it lands in and its direct
-    /// environment guard, which is everything the incremental
-    /// [`RuleIndex`](crate::index) patch needs.
+    /// `position`: its transaction, subject-role and object-role specs,
+    /// which name every rule posting the incremental patch sets a bit
+    /// in.
     pub(crate) fn added_delta(&self, position: u32) -> crate::delta::PolicyDelta {
         crate::delta::PolicyDelta::RuleAdded {
             position,
             transaction: self.transaction,
-            environment: self.environment_roles.clone(),
-        }
-    }
-
-    /// Extracts the delta recorded when this rule is removed from
-    /// `position`: the policy no longer knows where the rule sat, so
-    /// the bucket spec travels with the delta.
-    pub(crate) fn removed_delta(&self, position: u32) -> crate::delta::PolicyDelta {
-        crate::delta::PolicyDelta::RuleRemoved {
-            position,
-            transaction: self.transaction,
+            subject: self.subject_role,
+            object: self.object_role,
         }
     }
 

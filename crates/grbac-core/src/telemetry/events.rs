@@ -364,6 +364,9 @@ struct BusShared {
     dropped: AtomicU64,
     degraded: AtomicBool,
     subscribers: RwLock<Vec<Arc<SubscriberState>>>,
+    /// Held by a broadcast from its `seq` draw to its last ring push,
+    /// so racing publishers fill every ring in `seq` order.
+    publishing: Mutex<()>,
 }
 
 /// The broadcast bus. One lives on every
@@ -398,6 +401,7 @@ impl EventBus {
                 dropped: AtomicU64::new(0),
                 degraded: AtomicBool::new(false),
                 subscribers: RwLock::new(Vec::new()),
+                publishing: Mutex::new(()),
             }),
         }
     }
@@ -509,6 +513,11 @@ impl EventBus {
     }
 
     fn broadcast(&self, data: EventData) {
+        let _in_order = self
+            .shared
+            .publishing
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let seq = self.shared.seq.fetch_add(1, Ordering::Relaxed) + 1;
         let event = Arc::new(TelemetryEvent {
             seq,

@@ -87,16 +87,16 @@ impl Shard {
     /// Pre-sizes the slot table to at least `capacity` cells. Called
     /// on every index install — including cheap incremental delta
     /// applications — so the already-sized case takes only a read
-    /// lock.
-    fn reserve(&self, capacity: usize) {
-        let sized = self
-            .cells
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .len()
-            >= capacity;
-        if sized {
-            return;
+    /// lock. Returns the capacity the table has allocated.
+    fn reserve(&self, capacity: usize) -> usize {
+        {
+            let cells = self
+                .cells
+                .read()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            if cells.len() >= capacity {
+                return cells.capacity();
+            }
         }
         let mut cells = self
             .cells
@@ -105,6 +105,19 @@ impl Shard {
         if cells.len() < capacity {
             cells.resize_with(capacity, HeatCell::default);
         }
+        cells.capacity()
+    }
+
+    /// Grows the slot table's allocation to hold `capacity` cells,
+    /// leaving its length alone. Returns the capacity it now has.
+    fn reserve_room(&self, capacity: usize) -> usize {
+        let mut cells = self
+            .cells
+            .write()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let len = cells.len();
+        cells.reserve(capacity.saturating_sub(len));
+        cells.capacity()
     }
 }
 
@@ -144,6 +157,9 @@ pub struct RuleHeat {
     /// Total decisions folded into the table (wins across all rules
     /// plus default-effect decisions where no rule won).
     decisions: AtomicU64,
+    /// Cells every shard can hold without reallocating (a lower bound;
+    /// 0 until an index install first sizes the tables).
+    room: AtomicUsize,
 }
 
 impl Default for RuleHeat {
@@ -161,6 +177,7 @@ impl RuleHeat {
             enabled: AtomicBool::new(true),
             resets: AtomicU64::new(0),
             decisions: AtomicU64::new(0),
+            room: AtomicUsize::new(0),
         }
     }
 
@@ -197,9 +214,34 @@ impl RuleHeat {
         if !ENABLED {
             return;
         }
-        for shard in &self.shards {
-            shard.reserve(rule_count);
+        let room = self
+            .shards
+            .iter()
+            .map(|shard| shard.reserve(rule_count))
+            .min()
+            .unwrap_or(0);
+        self.room.fetch_max(room, Ordering::Relaxed);
+    }
+
+    /// Grows every shard's allocation to hold `rule_count` rules
+    /// without lengthening the tables. The engine calls this as it
+    /// mints rule ids, so a reallocation lands on the edit and the next
+    /// index install's [`reserve`](Self::reserve) only lengthens the
+    /// tables within their room. Until an install has sized the tables
+    /// there is nothing to grow ahead of: the first install allocates
+    /// them once. One relaxed load while the room suffices.
+    pub(crate) fn reserve_room(&self, rule_count: usize) {
+        let room = self.room.load(Ordering::Relaxed);
+        if !ENABLED || room == 0 || rule_count <= room {
+            return;
         }
+        let room = self
+            .shards
+            .iter()
+            .map(|shard| shard.reserve_room(rule_count))
+            .min()
+            .unwrap_or(0);
+        self.room.fetch_max(room, Ordering::Relaxed);
     }
 
     /// Zeroes every counter (the slot tables keep their size). Bumps

@@ -441,9 +441,11 @@ pub struct MetricsRegistry {
     pub audit_retained: Gauge,
     /// Declared roles in the current compiled index.
     pub index_roles: Gauge,
-    /// Transaction-keyed rule buckets in the current compiled index.
+    /// Non-empty transaction rows (the `Any` row included) of the rule
+    /// postings in the current compiled index.
     pub index_rule_buckets: Gauge,
-    /// Largest rule bucket in the current compiled index.
+    /// Rules in the largest transaction row of the current compiled
+    /// index's rule postings.
     pub index_max_bucket: Gauge,
     /// Environment-provider snapshot evaluations (polls).
     pub env_polls: Counter,

@@ -23,8 +23,9 @@ pub enum Stage {
     ObjectExpansion,
     /// Evaluating which environment roles are active for the request.
     EnvironmentEvaluation,
-    /// Merging the transaction's candidate rule buckets and testing
-    /// each candidate for applicability.
+    /// Intersecting the rule postings of the request's transaction,
+    /// requester roles and object roles, and testing each candidate
+    /// for applicability.
     CandidateMerge,
     /// Resolving the matched rules through the conflict strategy.
     PrecedenceResolution,

@@ -5,6 +5,7 @@
 //! randomized policies, actors, and after index-invalidating mutations.
 
 use grbac_core::prelude::*;
+use grbac_core::telemetry::{self, DeltaKind};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
@@ -78,7 +79,15 @@ fn build_model(rng: &mut StdRng) -> Model {
         }
     }
 
-    for _ in 0..rng.gen_range(0..=15usize) {
+    // Small policies keep every rule posting row in one word; large
+    // ones span two to four words, so removals shift bits across word
+    // boundaries.
+    let rule_count = if rng.gen_bool(0.3) {
+        rng.gen_range(60..=200usize)
+    } else {
+        rng.gen_range(0..=15usize)
+    };
+    for _ in 0..rule_count {
         add_random_rule(
             rng,
             &mut g,
@@ -235,8 +244,9 @@ fn mutate(rng: &mut StdRng, model: &mut Model) {
             let _ = model.g.revoke_object_role(object, role);
         }
         2 => {
-            if let Some(rule) = model.g.rules().first() {
-                let id = rule.id();
+            let rules = model.g.rules();
+            if !rules.is_empty() {
+                let id = rules[rng.gen_range(0..rules.len())].id();
                 model.g.remove_rule(id);
             }
         }
@@ -343,5 +353,58 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// At exactly 128 rules every posting row fills two words: each add
+/// widens the rows to a third word and each removal narrows them back.
+/// Two hundred add/remove pairs of one rule, each edit repaired by the
+/// decide after it, must all take the delta path and keep the patched
+/// index equal to a from-scratch rebuild.
+#[test]
+fn word_boundary_churn_stays_incremental() {
+    let mut rng = StdRng::seed_from_u64(128);
+    let mut model = build_model(&mut rng);
+    let (sr, or, er, tx) = (
+        model.subject_roles.clone(),
+        model.object_roles.clone(),
+        model.env_roles.clone(),
+        model.transactions.clone(),
+    );
+    while model.g.rules().len() < 128 {
+        add_random_rule(&mut rng, &mut model.g, &sr, &or, &er, &tx);
+    }
+    while model.g.rules().len() > 128 {
+        let id = model.g.rules()[0].id();
+        model.g.remove_rule(id);
+    }
+    let request = random_request(&mut rng, &mut model);
+    assert_paths_agree(&model.g, &request).unwrap();
+    let applied = |g: &Grbac, kind: DeltaKind| g.metrics().index_delta_applied.get(kind.slot());
+    let (added_before, removed_before) = (
+        applied(&model.g, DeltaKind::RuleAdded),
+        applied(&model.g, DeltaKind::RuleRemoved),
+    );
+    for _ in 0..200 {
+        add_random_rule(&mut rng, &mut model.g, &sr, &or, &er, &tx);
+        assert_eq!(model.g.rules().len(), 129);
+        let request = random_request(&mut rng, &mut model);
+        assert_paths_agree(&model.g, &request).unwrap();
+        assert!(model.g.compiled_matches_rebuild(), "after widening");
+
+        let id = model.g.rules()[128].id();
+        assert!(model.g.remove_rule(id));
+        let request = random_request(&mut rng, &mut model);
+        assert_paths_agree(&model.g, &request).unwrap();
+        assert!(model.g.compiled_matches_rebuild(), "after narrowing");
+    }
+    if telemetry::ENABLED {
+        let metrics = model.g.metrics();
+        assert_eq!(metrics.index_full_rebuilds.get(), 1);
+        assert_eq!(applied(&model.g, DeltaKind::RuleAdded) - added_before, 200);
+        assert_eq!(
+            applied(&model.g, DeltaKind::RuleRemoved) - removed_before,
+            200
+        );
     }
 }
