@@ -34,7 +34,9 @@
 //! store) and a `trace` id echoed on the wire resolves to the full
 //! queue → lock → engine breakdown, with each decide span joined to its
 //! decision story by the stamped `DecisionId`. All routes are GET-only;
-//! other methods answer `405` with an `Allow: GET` header.
+//! other methods answer `405` with an `Allow: GET` header. A request
+//! head (request line plus headers) over 8 KiB answers `431` and the
+//! connection closes.
 //!
 //! The three live routes require [`EngineObs::with_live_telemetry`]
 //! (absent, they answer 404): it subscribes the plane to the engine's
@@ -666,6 +668,16 @@ impl Response {
         }
     }
 
+    fn head_too_large() -> Self {
+        Self {
+            status: 431,
+            reason: "Request Header Fields Too Large",
+            content_type: "text/plain; charset=utf-8",
+            body: format!("request head exceeds {MAX_HEAD_BYTES} bytes"),
+            allow: None,
+        }
+    }
+
     fn method_not_allowed() -> Self {
         Self {
             status: 405,
@@ -703,14 +715,34 @@ struct ParsedRequest {
     last_event_id: Option<u64>,
 }
 
-/// Parses the request line of one HTTP/1.1 request. Headers are read
-/// and discarded except `Last-Event-ID` (the server is otherwise
-/// GET-only and stateless). The query string (without the `?`) is
-/// preserved for the routes that filter, empty when absent.
-fn parse_request(stream: &TcpStream) -> std::io::Result<Option<ParsedRequest>> {
-    let mut reader = BufReader::new(stream.try_clone()?);
+/// The most bytes a request head (request line plus headers) may take.
+/// A client that goes past it gets a 431 and a closed connection, so a
+/// peer dribbling one endless header cannot grow a line without bound.
+const MAX_HEAD_BYTES: u64 = 8 * 1024;
+
+/// Why a request head could not be parsed.
+enum HeadError {
+    /// The head ran past [`MAX_HEAD_BYTES`] before its blank line.
+    TooLarge,
+    /// A timeout, a reset, or bytes that are not UTF-8.
+    Io,
+}
+
+impl From<std::io::Error> for HeadError {
+    fn from(_: std::io::Error) -> Self {
+        Self::Io
+    }
+}
+
+/// Parses the request line of one HTTP/1.1 request, reading at most
+/// [`MAX_HEAD_BYTES`] of head. Headers are read and discarded except
+/// `Last-Event-ID` (the server is otherwise GET-only and stateless).
+/// The query string (without the `?`) is preserved for the routes that
+/// filter, empty when absent.
+fn parse_request(stream: &TcpStream) -> Result<Option<ParsedRequest>, HeadError> {
+    let mut reader = BufReader::new(stream.try_clone()?.take(MAX_HEAD_BYTES));
     let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+    if !read_head_line(&mut reader, &mut line)? {
         return Ok(None);
     }
     let mut parts = line.split_whitespace();
@@ -725,7 +757,7 @@ fn parse_request(stream: &TcpStream) -> std::io::Result<Option<ParsedRequest>> {
     let mut last_event_id = None;
     loop {
         let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 || header == "\r\n" || header == "\n" {
+        if !read_head_line(&mut reader, &mut header)? || header == "\r\n" || header == "\n" {
             break;
         }
         if let Some((name, value)) = header.split_once(':') {
@@ -740,6 +772,20 @@ fn parse_request(stream: &TcpStream) -> std::io::Result<Option<ParsedRequest>> {
         query,
         last_event_id,
     }))
+}
+
+/// Reads one head line into `line`; `false` at EOF. Running into the
+/// byte cap before the line (or the head) ends is [`HeadError::TooLarge`].
+fn read_head_line(
+    reader: &mut BufReader<std::io::Take<TcpStream>>,
+    line: &mut String,
+) -> Result<bool, HeadError> {
+    let read = reader.read_line(line)?;
+    let capped = reader.get_ref().limit() == 0;
+    if capped && (read == 0 || !line.ends_with('\n')) {
+        return Err(HeadError::TooLarge);
+    }
+    Ok(read > 0)
 }
 
 /// How often a streaming `/events` connection polls the live plane for
@@ -859,8 +905,12 @@ fn handle_connection(obs: &EngineObs, mut stream: TcpStream, stop: &AtomicBool) 
     let request = match parse_request(&stream) {
         Ok(Some(request)) => request,
         Ok(None) => return,
-        Err(_) => {
-            let _ = Response::bad_request("malformed request").write_to(&mut stream);
+        Err(error) => {
+            let response = match error {
+                HeadError::TooLarge => Response::head_too_large(),
+                HeadError::Io => Response::bad_request("malformed request"),
+            };
+            let _ = response.write_to(&mut stream);
             let _ = stream.flush();
             return;
         }
@@ -1125,6 +1175,40 @@ mod tests {
             )
         };
         g.decide(&request).unwrap();
+    }
+
+    /// A peer that never ends its header line gets a 431 once the head
+    /// passes the byte cap, and the server hangs up on it.
+    #[test]
+    fn endless_header_gets_431_and_a_closed_connection() {
+        let server = ObsServer::serve(EngineObs::new(engine_with_policy()), "127.0.0.1:0").unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let head = format!("GET /metrics HTTP/1.1\r\nX-Pad: {}", "a".repeat(64 * 1024));
+        // The server may hang up before it has read every byte.
+        let _ = stream.write_all(head.as_bytes());
+        let mut raw = Vec::new();
+        let mut buf = [0u8; 1024];
+        loop {
+            match stream.read(&mut buf) {
+                Ok(0) => break,
+                Ok(n) => raw.extend_from_slice(&buf[..n]),
+                // Closing with unread request bytes resets the connection.
+                Err(err) => {
+                    assert_eq!(err.kind(), std::io::ErrorKind::ConnectionReset, "{err}");
+                    break;
+                }
+            }
+        }
+        let raw = String::from_utf8_lossy(&raw);
+        assert!(
+            raw.starts_with("HTTP/1.1 431 Request Header Fields Too Large\r\n"),
+            "{raw}"
+        );
+        assert!(raw.contains("Connection: close\r\n"), "{raw}");
+        server.shutdown();
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! open across many requests.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
@@ -185,7 +185,10 @@ impl Drop for ServeServer {
 }
 
 /// Serves one connection to completion: read a line, answer a line,
-/// until EOF, timeout, or an unrecoverable framing error. The measured
+/// until EOF, timeout, or an unrecoverable framing error. Every answer
+/// leaves in one write, newline included: on a `TCP_NODELAY` socket a
+/// split frame costs a second segment, and the client wakes on the
+/// first one only to find no newline and block again. The measured
 /// dispatch-queue wait is charged to the first request only; later
 /// requests on the connection never sat in the accept queue.
 ///
@@ -216,19 +219,23 @@ fn serve_connection(
     loop {
         let was_streaming = subscription.is_some();
         match read_line_limited(&mut reader, max_line, &mut partial) {
-            Ok(None) => break, // clean EOF
-            Ok(Some(line)) => {
-                let line = line.trim();
-                if line.is_empty() {
+            Ok(false) => break, // clean EOF
+            Ok(true) => {
+                let response = {
+                    // Borrows the line unless it holds invalid UTF-8,
+                    // which is replaced lossily.
+                    let text = String::from_utf8_lossy(&partial);
+                    let line = text.trim();
+                    (!line.is_empty())
+                        .then(|| service.handle_stream_line(line, queue_wait_ns, &mut subscription))
+                };
+                partial.clear();
+                let Some(mut response) = response else {
                     continue; // blank keep-alive lines are fine
-                }
-                let response = service.handle_stream_line(line, queue_wait_ns, &mut subscription);
+                };
                 queue_wait_ns = 0;
-                if writer
-                    .write_all(response.as_bytes())
-                    .and_then(|()| writer.write_all(b"\n"))
-                    .is_err()
-                {
+                response.push('\n');
+                if writer.write_all(response.as_bytes()).is_err() {
                     break;
                 }
                 if subscription.is_some() != was_streaming {
@@ -269,9 +276,9 @@ fn serve_connection(
                         format!("request line exceeds {max_line} bytes"),
                     ),
                 );
-                let _ = writer
-                    .write_all(serde_json::to_string(&error).unwrap_or_default().as_bytes())
-                    .and_then(|()| writer.write_all(b"\n"));
+                let mut frame = serde_json::to_string(&error).unwrap_or_default();
+                frame.push('\n');
+                let _ = writer.write_all(frame.as_bytes());
                 break;
             }
             Err(ReadError::Io) => break,
@@ -279,24 +286,31 @@ fn serve_connection(
     }
 }
 
-/// Writes every buffered event frame to the client. Returns false
-/// when the client is gone (any write failure), which ends the
-/// connection and drops the subscription.
+/// Writes every buffered event frame to the client. Frames share
+/// writes through one fixed-size buffer, flushed before returning.
+/// Returns false when the client is gone (any write failure), which
+/// ends the connection and drops the subscription.
 fn pump_events(service: &PolicyService, writer: &mut TcpStream, live: &WireSubscription) -> bool {
+    let mut out = BufWriter::new(writer);
+    let mut frames = 0;
     for frame in live.drain_frames() {
         let line = match serde_json::to_string(&frame) {
             Ok(line) => line,
             Err(_) => continue,
         };
-        if writer
+        if out
             .write_all(line.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
+            .and_then(|()| out.write_all(b"\n"))
             .is_err()
         {
             return false;
         }
-        service.metrics().event_frames_total.inc();
+        frames += 1;
     }
+    if out.flush().is_err() {
+        return false;
+    }
+    service.metrics().event_frames_total.add(frames);
     true
 }
 
@@ -311,15 +325,17 @@ enum ReadError {
 }
 
 /// Reads one `\n`-terminated line of at most `max` bytes, without ever
-/// buffering more than `max` bytes for it. Returns `None` on clean EOF
-/// at a line boundary. `line` is the caller-owned accumulator: bytes
-/// of an incomplete line survive a [`ReadError::Timeout`] in it, so a
-/// streaming pump tick never corrupts framing.
+/// buffering more than `max` bytes for it. Returns `true` once `line`
+/// holds the whole line (without its `\n`), `false` on clean EOF at a
+/// line boundary. `line` is the caller-owned accumulator, which the
+/// caller clears after handling a line: bytes of an incomplete line
+/// survive a [`ReadError::Timeout`] in it, so a streaming pump tick
+/// never corrupts framing.
 fn read_line_limited(
     reader: &mut BufReader<TcpStream>,
     max: usize,
     line: &mut Vec<u8>,
-) -> Result<Option<String>, ReadError> {
+) -> Result<bool, ReadError> {
     loop {
         let buf = match reader.fill_buf() {
             Ok(buf) => buf,
@@ -336,7 +352,7 @@ fn read_line_limited(
         if buf.is_empty() {
             // EOF. A clean close lands exactly between lines.
             return if line.is_empty() {
-                Ok(None)
+                Ok(false)
             } else {
                 Err(ReadError::Io)
             };
@@ -347,9 +363,7 @@ fn read_line_limited(
             }
             line.extend_from_slice(&buf[..newline]);
             reader.consume(newline + 1);
-            let text = String::from_utf8_lossy(line).into_owned();
-            line.clear();
-            return Ok(Some(text));
+            return Ok(true);
         }
         if line.len() + buf.len() > max {
             return Err(ReadError::TooLong);
@@ -380,6 +394,38 @@ mod tests {
                 .request_line(&format!(r#"{{"op":"ping","seq":{seq}}}"#))
                 .unwrap();
             assert!(response.contains(&format!("\"seq\":{seq}")), "{response}");
+        }
+        server.shutdown();
+    }
+
+    /// Each answer leaves in one write, so a raw reader gets all of it
+    /// from a single `read()`, ending at the frame's only `\n`.
+    #[test]
+    fn each_answer_arrives_in_one_read() {
+        use std::io::Read;
+        let server = ServeServer::serve(service_with_tenant(), "127.0.0.1:0").unwrap();
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut buf = [0u8; 4096];
+        for i in 0..200 {
+            let (line, expected) = if i % 2 == 0 {
+                (r#"{"op":"ping"}"#, "\"ok\":true")
+            } else {
+                ("this is not json", "\"malformed_request\"")
+            };
+            stream.write_all(format!("{line}\n").as_bytes()).unwrap();
+            let n = stream.read(&mut buf).unwrap();
+            assert!(n > 0, "request {i}: connection closed");
+            let frame = std::str::from_utf8(&buf[..n]).unwrap();
+            assert_eq!(
+                frame.find('\n'),
+                Some(n - 1),
+                "request {i}: one read got {frame:?}"
+            );
+            assert!(frame.contains(expected), "request {i}: {frame}");
         }
         server.shutdown();
     }
