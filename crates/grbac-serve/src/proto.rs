@@ -1,5 +1,7 @@
 //! The wire protocol: envelope shapes, error codes, and the small
-//! JSON-value plumbing the dispatcher is built on.
+//! JSON plumbing the dispatcher is built on. Requests are read from the
+//! tree [`serde_json::parse`] borrows from the request line, and
+//! responses are written straight into the response text.
 //!
 //! Framing is newline-delimited JSON ("NDJSON"): every request is one
 //! JSON object on one line, every response is one JSON object on one
@@ -9,6 +11,7 @@
 //! `docs/service.md`.
 
 use serde::Value;
+use serde_json::{write_borrowed, write_string, BorrowedValue};
 
 /// The protocol version reported by the `ping` op. Bump on any wire
 /// change a deployed client could observe.
@@ -138,78 +141,113 @@ pub fn obj(pairs: Vec<(&str, Value)>) -> Value {
     )
 }
 
-/// The success envelope: `{"ok":true,"op":…,("seq":…)?,"result":…}`.
-#[must_use]
-pub fn ok_envelope(op: &str, seq: Option<&Value>, result: Value) -> Value {
-    let mut pairs = vec![("ok", Value::Bool(true)), ("op", Value::Str(op.to_owned()))];
-    if let Some(seq) = seq {
-        pairs.push(("seq", seq.clone()));
-    }
-    pairs.push(("result", result));
-    obj(pairs)
+/// Writes the head of a success envelope,
+/// `{"ok":true,"op":…,("seq":…,)?"result":`. The caller writes the
+/// result after it and closes the envelope with [`close_envelope`].
+pub fn ok_envelope(out: &mut String, op: &str, seq: Option<&BorrowedValue<'_>>) {
+    open_envelope(out, true, Some(op), seq);
+    out.push_str(",\"result\":");
 }
 
-/// The error envelope:
-/// `{"ok":false,"op":…,("seq":…)?,"error":{"code":…,"message":…}}`.
+/// Writes a whole error envelope,
+/// `{"ok":false,"op":…,("seq":…,)?"error":{"code":…,"message":…}}`,
+/// with the `trace` echo before its closing brace when there is one.
 /// `op` is `null` when the request never yielded one.
-#[must_use]
-pub fn err_envelope(op: Option<&str>, seq: Option<&Value>, error: &WireError) -> Value {
-    let mut pairs = vec![
-        ("ok", Value::Bool(false)),
-        ("op", op.map_or(Value::Null, |o| Value::Str(o.to_owned()))),
-    ];
-    if let Some(seq) = seq {
-        pairs.push(("seq", seq.clone()));
+pub fn err_envelope(
+    out: &mut String,
+    op: Option<&str>,
+    seq: Option<&BorrowedValue<'_>>,
+    error: &WireError,
+    trace: Option<&str>,
+) {
+    open_envelope(out, false, op, seq);
+    out.push_str(",\"error\":");
+    error_object(out, error.code, &error.message);
+    close_envelope(out, trace);
+}
+
+/// Closes an envelope, after the `trace` echo (`"trace":…`) of a
+/// client-propagated trace context.
+pub fn close_envelope(out: &mut String, trace: Option<&str>) {
+    if let Some(trace) = trace {
+        out.push_str(",\"trace\":");
+        write_string(out, trace);
     }
-    pairs.push((
-        "error",
-        obj(vec![
-            ("code", Value::Str(error.code.as_str().to_owned())),
-            ("message", Value::Str(error.message.clone())),
-        ]),
-    ));
-    obj(pairs)
+    out.push('}');
+}
+
+/// Writes an error body, `{"code":…,"message":…}`: the `error` of an
+/// error envelope and of a failed `decide_batch` item.
+pub fn error_object(out: &mut String, code: ErrorCode, message: &str) {
+    out.push_str("{\"code\":\"");
+    out.push_str(code.as_str());
+    out.push_str("\",\"message\":");
+    write_string(out, message);
+    out.push('}');
+}
+
+fn open_envelope(out: &mut String, ok: bool, op: Option<&str>, seq: Option<&BorrowedValue<'_>>) {
+    out.push_str(if ok {
+        "{\"ok\":true,\"op\":"
+    } else {
+        "{\"ok\":false,\"op\":"
+    });
+    match op {
+        Some(op) => write_string(out, op),
+        None => out.push_str("null"),
+    }
+    if let Some(seq) = seq {
+        out.push_str(",\"seq\":");
+        write_borrowed(out, seq);
+    }
 }
 
 /// A required string field.
-pub fn str_field<'a>(request: &'a Value, key: &str) -> Result<&'a str, WireError> {
+pub fn str_field<'r>(request: &'r BorrowedValue<'_>, key: &str) -> Result<&'r str, WireError> {
     request
         .get(key)
-        .and_then(Value::as_str)
+        .and_then(BorrowedValue::as_str)
         .ok_or_else(|| bad_request(format!("missing or non-string field `{key}`")))
 }
 
 /// An optional string field (absent and `null` both read as `None`).
-pub fn opt_str_field<'a>(request: &'a Value, key: &str) -> Result<Option<&'a str>, WireError> {
+pub fn opt_str_field<'r>(
+    request: &'r BorrowedValue<'_>,
+    key: &str,
+) -> Result<Option<&'r str>, WireError> {
     match request.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(Value::Str(s)) => Ok(Some(s)),
+        None | Some(BorrowedValue::Null) => Ok(None),
+        Some(BorrowedValue::Str(s)) => Ok(Some(s)),
         Some(_) => Err(bad_request(format!("field `{key}` must be a string"))),
     }
 }
 
 /// A required unsigned-integer field.
-pub fn u64_field(request: &Value, key: &str) -> Result<u64, WireError> {
+pub fn u64_field(request: &BorrowedValue<'_>, key: &str) -> Result<u64, WireError> {
     match request.get(key) {
-        Some(Value::UInt(u)) => Ok(*u),
-        Some(Value::Int(i)) if *i >= 0 => Ok(*i as u64),
+        Some(BorrowedValue::UInt(u)) => Ok(*u),
+        Some(BorrowedValue::Int(i)) if *i >= 0 => Ok(*i as u64),
         _ => Err(bad_request(format!("missing or non-integer field `{key}`"))),
     }
 }
 
-/// An optional array-of-strings field (absent and `null` read as empty).
-pub fn str_seq_field<'a>(request: &'a Value, key: &str) -> Result<Vec<&'a str>, WireError> {
-    match request.get(key) {
-        None | Some(Value::Null) => Ok(Vec::new()),
-        Some(Value::Seq(items)) => items
-            .iter()
-            .map(|item| {
-                item.as_str()
-                    .ok_or_else(|| bad_request(format!("field `{key}` must contain strings")))
-            })
-            .collect(),
-        Some(_) => Err(bad_request(format!("field `{key}` must be an array"))),
+/// An optional array-of-strings field (absent and `null` read as
+/// empty). Every item is checked to be a string before the first one
+/// is yielded, so a bad item is reported ahead of any lookup the
+/// caller makes with the good ones.
+pub fn str_seq_field<'r>(
+    request: &'r BorrowedValue<'_>,
+    key: &str,
+) -> Result<impl Iterator<Item = &'r str>, WireError> {
+    let items = match request.get(key) {
+        None | Some(BorrowedValue::Null) => &[],
+        Some(BorrowedValue::Seq(items)) => items.as_slice(),
+        Some(_) => return Err(bad_request(format!("field `{key}` must be an array"))),
+    };
+    if items.iter().any(|item| item.as_str().is_none()) {
+        return Err(bad_request(format!("field `{key}` must contain strings")));
     }
+    Ok(items.iter().filter_map(BorrowedValue::as_str))
 }
 
 #[cfg(test)]
@@ -232,33 +270,37 @@ mod tests {
 
     #[test]
     fn envelopes_render_deterministically() {
-        let ok = ok_envelope("ping", None, obj(vec![("pong", Value::Bool(true))]));
-        assert_eq!(
-            serde_json::to_string(&ok).unwrap(),
-            r#"{"ok":true,"op":"ping","result":{"pong":true}}"#
-        );
-        let seq = Value::UInt(7);
-        let err = err_envelope(
+        let mut ok = String::new();
+        ok_envelope(&mut ok, "ping", None);
+        serde_json::write_value(&mut ok, &obj(vec![("pong", Value::Bool(true))]));
+        close_envelope(&mut ok, None);
+        assert_eq!(ok, r#"{"ok":true,"op":"ping","result":{"pong":true}}"#);
+        let seq = serde_json::parse(r#"{"n": 7, "tag": "a\"b"}"#).unwrap();
+        let mut err = String::new();
+        err_envelope(
+            &mut err,
             Some("decide"),
             Some(&seq),
             &WireError::new(ErrorCode::UnknownTenant, "no tenant `x`"),
+            Some("t-s-01"),
         );
         assert_eq!(
-            serde_json::to_string(&err).unwrap(),
-            r#"{"ok":false,"op":"decide","seq":7,"error":{"code":"unknown_tenant","message":"no tenant `x`"}}"#
+            err,
+            r#"{"ok":false,"op":"decide","seq":{"n":7,"tag":"a\"b"},"error":{"code":"unknown_tenant","message":"no tenant `x`"},"trace":"t-s-01"}"#
         );
     }
 
     #[test]
     fn field_helpers_enforce_shapes() {
-        let request: Value =
-            serde_json::from_str(r#"{"a":"x","n":3,"env":["e1","e2"],"bad":[1]}"#).unwrap();
+        let request = serde_json::parse(r#"{"a":"x","n":3,"env":["e1","e2"],"bad":[1]}"#).unwrap();
         assert_eq!(str_field(&request, "a").unwrap(), "x");
         assert!(str_field(&request, "n").is_err());
         assert_eq!(u64_field(&request, "n").unwrap(), 3);
-        assert_eq!(str_seq_field(&request, "env").unwrap(), vec!["e1", "e2"]);
-        assert_eq!(str_seq_field(&request, "absent").unwrap().len(), 0);
+        let env: Vec<&str> = str_seq_field(&request, "env").unwrap().collect();
+        assert_eq!(env, vec!["e1", "e2"]);
+        assert_eq!(str_seq_field(&request, "absent").unwrap().count(), 0);
         assert!(str_seq_field(&request, "bad").is_err());
+        assert!(str_seq_field(&request, "a").is_err());
         assert_eq!(opt_str_field(&request, "absent").unwrap(), None);
         assert!(opt_str_field(&request, "n").is_err());
     }

@@ -186,6 +186,7 @@ impl Drop for ServeServer {
 
 /// Serves one connection to completion: read a line, answer a line,
 /// until EOF, timeout, or an unrecoverable framing error. Every answer
+/// is written into one response buffer the connection reuses, and
 /// leaves in one write, newline included: on a `TCP_NODELAY` socket a
 /// split frame costs a second segment, and the client wakes on the
 /// first one only to find no newline and block again. The measured
@@ -216,23 +217,31 @@ fn serve_connection(
     // Partial-line carry: a streaming pump tick may interrupt a read
     // mid-line, so the accumulator lives outside the loop.
     let mut partial: Vec<u8> = Vec::new();
+    let mut response = String::new();
     loop {
         let was_streaming = subscription.is_some();
         match read_line_limited(&mut reader, max_line, &mut partial) {
             Ok(false) => break, // clean EOF
             Ok(true) => {
-                let response = {
+                response.clear();
+                {
                     // Borrows the line unless it holds invalid UTF-8,
                     // which is replaced lossily.
                     let text = String::from_utf8_lossy(&partial);
                     let line = text.trim();
-                    (!line.is_empty())
-                        .then(|| service.handle_stream_line(line, queue_wait_ns, &mut subscription))
-                };
+                    if !line.is_empty() {
+                        service.handle_stream_line(
+                            line,
+                            queue_wait_ns,
+                            &mut subscription,
+                            &mut response,
+                        );
+                    }
+                }
                 partial.clear();
-                let Some(mut response) = response else {
+                if response.is_empty() {
                     continue; // blank keep-alive lines are fine
-                };
+                }
                 queue_wait_ns = 0;
                 response.push('\n');
                 if writer.write_all(response.as_bytes()).is_err() {
@@ -268,17 +277,14 @@ fn serve_connection(
             Err(ReadError::TooLong) => {
                 // Framing is lost: we cannot tell where the oversized
                 // line ends, so answer once and drop the connection.
-                let error = err_envelope(
-                    None,
-                    None,
-                    &WireError::new(
-                        ErrorCode::LineTooLong,
-                        format!("request line exceeds {max_line} bytes"),
-                    ),
+                let error = WireError::new(
+                    ErrorCode::LineTooLong,
+                    format!("request line exceeds {max_line} bytes"),
                 );
-                let mut frame = serde_json::to_string(&error).unwrap_or_default();
-                frame.push('\n');
-                let _ = writer.write_all(frame.as_bytes());
+                response.clear();
+                err_envelope(&mut response, None, None, &error, None);
+                response.push('\n');
+                let _ = writer.write_all(response.as_bytes());
                 break;
             }
             Err(ReadError::Io) => break,

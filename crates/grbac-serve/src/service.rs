@@ -9,6 +9,7 @@
 //! handles out (reads) or to provision/drop a tenant (writes).
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -21,11 +22,17 @@ use grbac_core::{
     AccessRequest, Decision, DecisionId, Effect, EnvironmentSnapshot, Grbac, RoleKind, RuleDef,
 };
 use serde::Value;
+use serde_json::{write_string, BorrowedValue};
 
 use crate::proto::{
-    bad_request, err_envelope, obj, ok_envelope, op_slot, str_field, str_seq_field, u64_field,
-    ErrorCode, WireError, OPS, PROTOCOL_VERSION,
+    bad_request, close_envelope, err_envelope, error_object, obj, ok_envelope, op_slot,
+    opt_str_field, str_field, str_seq_field, u64_field, ErrorCode, WireError, OPS,
+    PROTOCOL_VERSION,
 };
+
+/// Initial capacity of a response [`PolicyService::handle_line`]
+/// returns: a decide answer fits, so its buffer never regrows.
+const RESPONSE_CAPACITY: usize = 256;
 
 /// Service-wide limits and defaults.
 #[derive(Debug, Clone)]
@@ -474,33 +481,33 @@ impl PolicyService {
     /// connection pass 0 — they never waited in the accept queue).
     #[must_use]
     pub fn handle_line_queued(&self, line: &str, queue_wait_ns: u64) -> String {
+        let mut response = String::with_capacity(RESPONSE_CAPACITY);
         // Without a connection to stream to, a `subscribe` registers
         // and is torn down again as the scope ends — harmless, and it
         // keeps the op's validation behavior identical everywhere.
-        let mut subscription = None;
-        self.handle_stream_line(line, queue_wait_ns, &mut subscription)
+        self.handle_stream_line(line, queue_wait_ns, &mut None, &mut response);
+        response
     }
 
     /// [`handle_line_queued`](Self::handle_line_queued) with the
-    /// connection's streaming slot: `subscribe` installs a
-    /// [`WireSubscription`] into `subscription`, `unsubscribe` takes
-    /// it back out, and every other op leaves it alone. The connection
-    /// loop owns the slot and pumps its frames between request lines.
-    #[must_use]
+    /// connection's streaming slot and response buffer: `subscribe`
+    /// installs a [`WireSubscription`] into `subscription`,
+    /// `unsubscribe` takes it back out, and every other op leaves it
+    /// alone. The response line (without its newline) is appended to
+    /// `out`, so a connection can reuse one buffer for all its answers.
+    /// The connection loop owns both and pumps the subscription's
+    /// frames between request lines.
     pub fn handle_stream_line(
         &self,
         line: &str,
         queue_wait_ns: u64,
         subscription: &mut Option<WireSubscription>,
-    ) -> String {
+        out: &mut String,
+    ) {
         self.metrics.requests_total.inc();
-        let envelope = self.handle_request(line, queue_wait_ns, subscription);
-        if !matches!(envelope.get("ok"), Some(Value::Bool(true))) {
+        if !self.handle_request(line, queue_wait_ns, subscription, out) {
             self.metrics.protocol_errors_total.inc();
         }
-        serde_json::to_string(&envelope).unwrap_or_else(|_| {
-            r#"{"ok":false,"op":null,"error":{"code":"malformed_request","message":"response serialization failed"}}"#.to_owned()
-        })
     }
 
     /// Live wire subscriptions right now, service-wide (also reported
@@ -510,60 +517,72 @@ impl PolicyService {
         self.subscriptions_active.load(Ordering::Relaxed)
     }
 
+    /// Answers one request line into `out`, parsing it once into a tree
+    /// that borrows from `line`. Returns whether the answer is a success
+    /// envelope.
     fn handle_request(
         &self,
         line: &str,
         queue_wait_ns: u64,
         subscription: &mut Option<WireSubscription>,
-    ) -> Value {
-        let request = match serde_json::from_str::<Value>(line) {
-            Err(err) => {
-                return err_envelope(
-                    None,
-                    None,
-                    &WireError::new(
-                        ErrorCode::MalformedRequest,
-                        format!("invalid JSON: {err:?}"),
-                    ),
-                )
-            }
+        out: &mut String,
+    ) -> bool {
+        let request = match serde_json::parse(line) {
             Ok(request) => request,
-        };
-        let seq = request.get("seq").cloned();
-        let Some(op) = request.get("op").and_then(Value::as_str).map(str::to_owned) else {
-            return err_envelope(
-                None,
-                seq.as_ref(),
-                &WireError::new(
+            Err(err) => {
+                let error = WireError::new(
                     ErrorCode::MalformedRequest,
-                    "request must be an object with a string `op` field",
-                ),
+                    format!("invalid JSON: {err:?}"),
+                );
+                err_envelope(out, None, None, &error, None);
+                return false;
+            }
+        };
+        let seq = request.get("seq");
+        let Some(op) = request.get("op").and_then(BorrowedValue::as_str) else {
+            let error = WireError::new(
+                ErrorCode::MalformedRequest,
+                "request must be an object with a string `op` field",
             );
+            err_envelope(out, None, seq, &error, None);
+            return false;
         };
         // The optional `trace` propagation context. The field is part
         // of the protocol contract, so a malformed value is a
         // `bad_request`, not silently ignored.
-        let context = match crate::proto::opt_str_field(&request, "trace") {
+        let context = match opt_str_field(&request, "trace") {
             Ok(None) => None,
             Ok(Some(raw)) => match TraceContext::parse(raw) {
                 Some(context) => Some(context),
-                None => return err_envelope(
-                    Some(&op),
-                    seq.as_ref(),
-                    &bad_request(
+                None => {
+                    let error = bad_request(
                         "field `trace` must be `<trace_id:32hex>-<span_id:16hex>-<flags:2hex>` \
-                             with non-zero ids",
-                    ),
-                ),
+                         with non-zero ids",
+                    );
+                    err_envelope(out, Some(op), seq, &error, None);
+                    return false;
+                }
             },
-            Err(error) => return err_envelope(Some(&op), seq.as_ref(), &error),
+            Err(error) => {
+                err_envelope(out, Some(op), seq, &error, None);
+                return false;
+            }
         };
-        let mut spans = self.open_request_spans(&op, context, queue_wait_ns);
-        let envelope = match self.dispatch(&op, &request, &mut spans, subscription) {
-            Ok(result) => ok_envelope(&op, seq.as_ref(), result),
-            Err(error) => err_envelope(Some(&op), seq.as_ref(), &error),
-        };
-        self.finish_request_spans(spans, envelope)
+        let mut spans = self.open_request_spans(op, context, queue_wait_ns);
+        // The result is written after the success head; a failed op
+        // discards whatever it wrote and answers an error envelope.
+        let start = out.len();
+        ok_envelope(out, op, seq);
+        let result = self.dispatch(op, &request, &mut spans, subscription, out);
+        let echo = self.finish_request_spans(spans, result.is_ok());
+        match &result {
+            Ok(()) => close_envelope(out, echo.as_deref()),
+            Err(error) => {
+                out.truncate(start);
+                err_envelope(out, Some(op), seq, error, echo.as_deref());
+            }
+        }
+        result.is_ok()
     }
 
     /// Decides whether this request records spans: a client context
@@ -594,13 +613,11 @@ impl PolicyService {
     }
 
     /// Finishes and records the request's spans and — for
-    /// client-propagated contexts — appends the `trace` echo
-    /// (`trace_id-server_span_id-01`) to the response envelope.
-    fn finish_request_spans(&self, spans: RequestSpans, mut envelope: Value) -> Value {
-        let Some(mut active) = spans.active else {
-            return envelope;
-        };
-        if !matches!(envelope.get("ok"), Some(Value::Bool(true))) {
+    /// client-propagated contexts — returns the `trace` echo
+    /// (`trace_id-server_span_id-01`) for the response envelope.
+    fn finish_request_spans(&self, spans: RequestSpans, ok: bool) -> Option<String> {
+        let mut active = spans.active?;
+        if !ok {
             active.server.status = SpanStatus::Error;
         }
         active.server.finish();
@@ -630,19 +647,20 @@ impl PolicyService {
             self.spans.record(child);
         }
         self.spans.record(active.server);
-        if let (Some(trace), Value::Map(fields)) = (echo, &mut envelope) {
-            fields.push(("trace".to_owned(), Value::Str(trace)));
-        }
-        envelope
+        echo
     }
 
+    /// Runs `op` and writes its result into `out`. Mediation ops write
+    /// their decisions straight into the response; the others build a
+    /// small [`Value`] body that is written after them.
     fn dispatch(
         &self,
         op: &str,
-        request: &Value,
+        request: &BorrowedValue<'_>,
         spans: &mut RequestSpans,
         subscription: &mut Option<WireSubscription>,
-    ) -> Result<Value, WireError> {
+        out: &mut String,
+    ) -> Result<(), WireError> {
         let Some(slot) = op_slot(op) else {
             return Err(WireError::new(
                 ErrorCode::UnknownOp,
@@ -650,38 +668,38 @@ impl PolicyService {
             ));
         };
         self.metrics.requests_by_op.add(slot, 1);
-        match op {
-            "ping" => Ok(obj(vec![
+        let body = match op {
+            "ping" => obj(vec![
                 ("protocol", Value::UInt(PROTOCOL_VERSION)),
                 ("server", Value::Str("grbac-serve".to_owned())),
                 (
                     "tenants",
                     Value::UInt(lock_read(&self.tenants).len() as u64),
                 ),
-            ])),
+            ]),
             "create_tenant" => {
                 let name = str_field(request, "tenant")?;
                 self.create_tenant(name)?;
-                Ok(obj(vec![
+                obj(vec![
                     ("tenant", Value::Str(name.to_owned())),
                     ("created", Value::Bool(true)),
-                ]))
+                ])
             }
             "drop_tenant" => {
                 let name = str_field(request, "tenant")?;
                 self.drop_tenant(name)?;
-                Ok(obj(vec![
+                obj(vec![
                     ("tenant", Value::Str(name.to_owned())),
                     ("dropped", Value::Bool(true)),
-                ]))
+                ])
             }
-            "list_tenants" => Ok(obj(vec![(
+            "list_tenants" => obj(vec![(
                 "tenants",
                 Value::Seq(self.tenant_names().into_iter().map(Value::Str).collect()),
-            )])),
-            "metrics" => self.op_metrics(request),
-            "subscribe" => self.op_subscribe(request, subscription),
-            "unsubscribe" => Self::op_unsubscribe(subscription),
+            )]),
+            "metrics" => self.op_metrics(request)?,
+            "subscribe" => self.op_subscribe(request, subscription)?,
+            "unsubscribe" => Self::op_unsubscribe(subscription)?,
             _ => {
                 // Everything else is tenant-scoped.
                 let name = str_field(request, "tenant")?;
@@ -690,24 +708,26 @@ impl PolicyService {
                     .time(SpanKind::Lock, "tenant_map", || self.tenant(name))
                     .ok_or_else(|| unknown_tenant(name))?;
                 match op {
-                    "declare" => self.op_declare(&tenant, request),
-                    "specialize" => self.op_specialize(&tenant, request),
-                    "assign" => self.op_assignment(&tenant, request, true),
-                    "revoke" => self.op_assignment(&tenant, request, false),
-                    "add_rule" => self.op_add_rule(&tenant, request),
-                    "remove_rule" => self.op_remove_rule(&tenant, request),
-                    "decide" => self.op_decide(&tenant, request, spans),
-                    "decide_batch" => self.op_decide_batch(&tenant, request, spans),
-                    "explain" => self.op_explain(&tenant, request, spans),
-                    "status" => Ok(self.op_status(name, &tenant)),
-                    "tick" => Ok(Self::op_tick(&tenant)),
+                    "decide" => return self.op_decide(&tenant, request, spans, out),
+                    "decide_batch" => return self.op_decide_batch(&tenant, request, spans, out),
+                    "explain" => return self.op_explain(&tenant, request, spans, out),
+                    "declare" => self.op_declare(&tenant, request)?,
+                    "specialize" => self.op_specialize(&tenant, request)?,
+                    "assign" => self.op_assignment(&tenant, request, true)?,
+                    "revoke" => self.op_assignment(&tenant, request, false)?,
+                    "add_rule" => self.op_add_rule(&tenant, request)?,
+                    "remove_rule" => self.op_remove_rule(&tenant, request)?,
+                    "status" => self.op_status(name, &tenant),
+                    "tick" => Self::op_tick(&tenant),
                     _ => unreachable!("op {op} is in OPS but not dispatched"),
                 }
             }
-        }
+        };
+        serde_json::write_value(out, &body);
+        Ok(())
     }
 
-    fn op_declare(&self, tenant: &Tenant, request: &Value) -> Result<Value, WireError> {
+    fn op_declare(&self, tenant: &Tenant, request: &BorrowedValue<'_>) -> Result<Value, WireError> {
         let kind = str_field(request, "kind")?;
         let name = str_field(request, "name")?;
         let mut engine = lock_write(&tenant.engine);
@@ -735,7 +755,11 @@ impl PolicyService {
         ]))
     }
 
-    fn op_specialize(&self, tenant: &Tenant, request: &Value) -> Result<Value, WireError> {
+    fn op_specialize(
+        &self,
+        tenant: &Tenant,
+        request: &BorrowedValue<'_>,
+    ) -> Result<Value, WireError> {
         let kind = role_kind(str_field(request, "kind")?)?;
         let specific = str_field(request, "specific")?;
         let general = str_field(request, "general")?;
@@ -753,7 +777,7 @@ impl PolicyService {
     fn op_assignment(
         &self,
         tenant: &Tenant,
-        request: &Value,
+        request: &BorrowedValue<'_>,
         assign: bool,
     ) -> Result<Value, WireError> {
         let kind = str_field(request, "kind")?;
@@ -800,7 +824,11 @@ impl PolicyService {
         )]))
     }
 
-    fn op_add_rule(&self, tenant: &Tenant, request: &Value) -> Result<Value, WireError> {
+    fn op_add_rule(
+        &self,
+        tenant: &Tenant,
+        request: &BorrowedValue<'_>,
+    ) -> Result<Value, WireError> {
         let effect = match str_field(request, "effect")? {
             "permit" => Effect::Permit,
             "deny" => Effect::Deny,
@@ -812,13 +840,13 @@ impl PolicyService {
         };
         let mut engine = lock_write(&tenant.engine);
         let mut def = RuleDef::new(effect);
-        if let Some(name) = crate::proto::opt_str_field(request, "name")? {
+        if let Some(name) = opt_str_field(request, "name")? {
             def = def.named(name);
         }
-        if let Some(role) = crate::proto::opt_str_field(request, "subject_role")? {
+        if let Some(role) = opt_str_field(request, "subject_role")? {
             def = def.subject_role(find_role(&engine, RoleKind::Subject, role)?);
         }
-        if let Some(role) = crate::proto::opt_str_field(request, "object_role")? {
+        if let Some(role) = opt_str_field(request, "object_role")? {
             def = def.object_role(find_role(&engine, RoleKind::Object, role)?);
         }
         let transaction = str_field(request, "transaction")?;
@@ -837,7 +865,11 @@ impl PolicyService {
         Ok(obj(vec![("rule", Value::UInt(rule.into()))]))
     }
 
-    fn op_remove_rule(&self, tenant: &Tenant, request: &Value) -> Result<Value, WireError> {
+    fn op_remove_rule(
+        &self,
+        tenant: &Tenant,
+        request: &BorrowedValue<'_>,
+    ) -> Result<Value, WireError> {
         let rule = u64_field(request, "rule")?;
         let removed =
             lock_write(&tenant.engine).remove_rule(grbac_core::prelude::RuleId::from_raw(rule));
@@ -848,9 +880,10 @@ impl PolicyService {
     fn op_decide(
         &self,
         tenant: &Tenant,
-        request: &Value,
+        request: &BorrowedValue<'_>,
         spans: &mut RequestSpans,
-    ) -> Result<Value, WireError> {
+        out: &mut String,
+    ) -> Result<(), WireError> {
         let engine = spans.time(SpanKind::Lock, "engine_lock", || lock_read(&tenant.engine));
         let access = resolve_request(&engine, request)?;
         let decision = spans
@@ -859,16 +892,19 @@ impl PolicyService {
         spans.stamp_decision(decision.decision_id());
         drop(engine);
         self.metrics.decides_by_tenant.add(tenant.id, 1);
-        Ok(decision_value(&decision))
+        decision_fields(out, &decision);
+        out.push('}');
+        Ok(())
     }
 
     fn op_decide_batch(
         &self,
         tenant: &Tenant,
-        request: &Value,
+        request: &BorrowedValue<'_>,
         spans: &mut RequestSpans,
-    ) -> Result<Value, WireError> {
-        let Some(Value::Seq(items)) = request.get("requests") else {
+        out: &mut String,
+    ) -> Result<(), WireError> {
+        let Some(BorrowedValue::Seq(items)) = request.get("requests") else {
             return Err(bad_request("field `requests` must be an array"));
         };
         let engine = spans.time(SpanKind::Lock, "engine_lock", || lock_read(&tenant.engine));
@@ -893,64 +929,64 @@ impl PolicyService {
         self.metrics
             .decides_by_tenant
             .add(tenant.id, batch.len() as u64);
-        let results: Vec<Value> = resolved
-            .into_iter()
-            .map(|item| match item {
-                Err(error) => obj(vec![(
-                    "error",
-                    obj(vec![
-                        ("code", Value::Str(error.code.as_str().to_owned())),
-                        ("message", Value::Str(error.message)),
-                    ]),
-                )]),
+        let item_error = |out: &mut String, code: ErrorCode, message: &str| {
+            out.push_str("{\"error\":");
+            error_object(out, code, message);
+            out.push('}');
+        };
+        out.push_str("{\"results\":[");
+        for (i, item) in resolved.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            match item {
+                Err(error) => item_error(out, error.code, &error.message),
                 Ok(_) => match decisions.next().expect("one decision per resolved item") {
-                    Ok(decision) => decision_value(&decision),
-                    Err(err) => obj(vec![(
-                        "error",
-                        obj(vec![
-                            ("code", Value::Str(ErrorCode::Policy.as_str().to_owned())),
-                            ("message", Value::Str(err.to_string())),
-                        ]),
-                    )]),
+                    Ok(decision) => {
+                        decision_fields(out, &decision);
+                        out.push('}');
+                    }
+                    Err(err) => item_error(out, ErrorCode::Policy, &err.to_string()),
                 },
-            })
-            .collect();
-        Ok(obj(vec![("results", Value::Seq(results))]))
+            }
+        }
+        out.push_str("]}");
+        Ok(())
     }
 
     fn op_explain(
         &self,
         tenant: &Tenant,
-        request: &Value,
+        request: &BorrowedValue<'_>,
         spans: &mut RequestSpans,
-    ) -> Result<Value, WireError> {
+        out: &mut String,
+    ) -> Result<(), WireError> {
         let engine = spans.time(SpanKind::Lock, "engine_lock", || lock_read(&tenant.engine));
         let access = resolve_request(&engine, request)?;
         let decision = spans
             .time(SpanKind::Engine, "decide", || engine.decide(&access))
             .map_err(policy_error)?;
         spans.stamp_decision(decision.decision_id());
-        let matched: Vec<Value> = decision
-            .explanation()
-            .matched
-            .iter()
-            .map(|m| {
-                obj(vec![
-                    ("rule", Value::UInt(m.rule.into())),
-                    ("effect", Value::Str(effect_str(m.effect).to_owned())),
-                ])
-            })
-            .collect();
         let rendered = engine.render_decision(&decision);
         drop(engine);
         self.metrics.decides_by_tenant.add(tenant.id, 1);
-        let mut fields = match decision_value(&decision) {
-            Value::Map(fields) => fields,
-            _ => unreachable!("decision_value returns an object"),
-        };
-        fields.push(("matched".to_owned(), Value::Seq(matched)));
-        fields.push(("rendered".to_owned(), Value::Str(rendered)));
-        Ok(Value::Map(fields))
+        decision_fields(out, &decision);
+        out.push_str(",\"matched\":[");
+        for (i, m) in decision.explanation().matched.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(
+                out,
+                "{{\"rule\":{},\"effect\":\"{}\"}}",
+                u64::from(m.rule),
+                effect_str(m.effect)
+            );
+        }
+        out.push_str("],\"rendered\":");
+        write_string(out, &rendered);
+        out.push('}');
+        Ok(())
     }
 
     fn op_status(&self, name: &str, tenant: &Tenant) -> Value {
@@ -1002,8 +1038,8 @@ impl PolicyService {
         ])
     }
 
-    fn op_metrics(&self, request: &Value) -> Result<Value, WireError> {
-        let only = crate::proto::opt_str_field(request, "tenant")?;
+    fn op_metrics(&self, request: &BorrowedValue<'_>) -> Result<Value, WireError> {
+        let only = opt_str_field(request, "tenant")?;
         if let Some(name) = only {
             if self.tenant(name).is_none() {
                 return Err(unknown_tenant(name));
@@ -1074,7 +1110,7 @@ impl PolicyService {
 
     fn op_subscribe(
         &self,
-        request: &Value,
+        request: &BorrowedValue<'_>,
         subscription: &mut Option<WireSubscription>,
     ) -> Result<Value, WireError> {
         if subscription.is_some() {
@@ -1092,7 +1128,7 @@ impl PolicyService {
             })?;
             filter = filter.kind(kind);
         }
-        if let Some(name) = crate::proto::opt_str_field(request, "min_severity")? {
+        if let Some(name) = opt_str_field(request, "min_severity")? {
             let severity = Severity::from_name(name).ok_or_else(|| {
                 bad_request(format!(
                     "unknown severity `{name}` (known: {})",
@@ -1102,10 +1138,10 @@ impl PolicyService {
             filter = filter.min_severity(severity);
         }
         let capacity = match request.get("capacity") {
-            None | Some(Value::Null) => EventBus::DEFAULT_CAPACITY as u64,
+            None | Some(BorrowedValue::Null) => EventBus::DEFAULT_CAPACITY as u64,
             Some(_) => u64_field(request, "capacity")?.clamp(1, 65_536),
         } as usize;
-        let tenants = str_seq_field(request, "tenants")?;
+        let tenants: Vec<&str> = str_seq_field(request, "tenants")?.collect();
         let wire = self.subscribe_events(&tenants, filter, capacity)?;
         let result = obj(vec![
             ("subscription", Value::UInt(wire.id())),
@@ -1144,7 +1180,6 @@ impl PolicyService {
     /// restrict the engine section to one tenant.
     #[must_use]
     pub fn prometheus_exposition(&self, only: Option<&str>) -> String {
-        use std::fmt::Write as _;
         let tenants: Vec<(String, Tenant)> = lock_read(&self.tenants)
             .iter()
             .filter(|(name, _)| only.is_none_or(|o| o == name.as_str()))
@@ -1257,25 +1292,23 @@ impl PolicyService {
     }
 }
 
-/// Renders a decision as its wire shape.
-fn decision_value(decision: &Decision) -> Value {
-    obj(vec![
-        (
-            "effect",
-            Value::Str(effect_str(decision.effect()).to_owned()),
-        ),
-        (
-            "decision_id",
-            Value::Str(decision.decision_id().to_string()),
-        ),
-        ("degraded", Value::Bool(decision.is_degraded())),
-        (
-            "winner",
-            decision
-                .winning_rule()
-                .map_or(Value::Null, |rule| Value::UInt(rule.into())),
-        ),
-    ])
+/// Writes a decision's wire shape,
+/// `{"effect":…,"decision_id":…,"degraded":…,"winner":…`, leaving the
+/// object open for the fields `explain` adds.
+fn decision_fields(out: &mut String, decision: &Decision) {
+    let _ = write!(
+        out,
+        "{{\"effect\":\"{}\",\"decision_id\":\"{}\",\"degraded\":{},\"winner\":",
+        effect_str(decision.effect()),
+        decision.decision_id(),
+        decision.is_degraded()
+    );
+    match decision.winning_rule() {
+        Some(rule) => {
+            let _ = write!(out, "{}", u64::from(rule));
+        }
+        None => out.push_str("null"),
+    }
 }
 
 fn effect_str(effect: Effect) -> &'static str {
@@ -1287,7 +1320,7 @@ fn effect_str(effect: Effect) -> &'static str {
 
 /// Resolves one decide/explain item (`subject`, `transaction`,
 /// `object`, optional `env` names) against the tenant's catalogs.
-fn resolve_request(engine: &Grbac, item: &Value) -> Result<AccessRequest, WireError> {
+fn resolve_request(engine: &Grbac, item: &BorrowedValue<'_>) -> Result<AccessRequest, WireError> {
     let subject_name = str_field(item, "subject")?;
     let transaction_name = str_field(item, "transaction")?;
     let object_name = str_field(item, "object")?;
@@ -1383,6 +1416,17 @@ fn lock_write<T>(lock: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One answer from `handle_stream_line`, on the connection slot.
+    fn stream_line(
+        service: &PolicyService,
+        line: &str,
+        slot: &mut Option<WireSubscription>,
+    ) -> String {
+        let mut out = String::new();
+        service.handle_stream_line(line, 0, slot, &mut out);
+        out
+    }
 
     fn provisioned() -> PolicyService {
         let service = PolicyService::with_defaults();
@@ -1571,7 +1615,7 @@ mod tests {
                 "bad_request",
             ),
         ] {
-            let response = service.handle_stream_line(line, 0, &mut slot);
+            let response = stream_line(&service, line, &mut slot);
             assert!(
                 response.contains(&format!("\"code\":\"{code}\"")),
                 "{line} -> {response}"
@@ -1580,9 +1624,9 @@ mod tests {
         }
         assert_eq!(service.active_subscriptions(), 0);
 
-        let response = service.handle_stream_line(
+        let response = stream_line(
+            &service,
             r#"{"op":"subscribe","tenants":["home"],"kinds":["alert"],"min_severity":"warning"}"#,
-            0,
             &mut slot,
         );
         assert!(response.contains("\"streaming\":true"), "{response}");
@@ -1590,18 +1634,21 @@ mod tests {
         assert_eq!(service.active_subscriptions(), 1);
 
         // A second subscribe on the same connection is refused.
-        let again =
-            service.handle_stream_line(r#"{"op":"subscribe","tenants":["home"]}"#, 0, &mut slot);
+        let again = stream_line(
+            &service,
+            r#"{"op":"subscribe","tenants":["home"]}"#,
+            &mut slot,
+        );
         assert!(again.contains("\"bad_request\""), "{again}");
         assert_eq!(service.active_subscriptions(), 1);
 
-        let bye = service.handle_stream_line(r#"{"op":"unsubscribe"}"#, 0, &mut slot);
+        let bye = stream_line(&service, r#"{"op":"unsubscribe"}"#, &mut slot);
         assert!(bye.contains("\"unsubscribed\":true"), "{bye}");
         assert!(slot.is_none());
         assert_eq!(service.active_subscriptions(), 0);
 
         // Unsubscribe with nothing active is an error, not a panic.
-        let nothing = service.handle_stream_line(r#"{"op":"unsubscribe"}"#, 0, &mut slot);
+        let nothing = stream_line(&service, r#"{"op":"unsubscribe"}"#, &mut slot);
         assert!(nothing.contains("\"bad_request\""), "{nothing}");
     }
 
