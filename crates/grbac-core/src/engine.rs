@@ -65,7 +65,8 @@ use crate::environment::EnvironmentSnapshot;
 use crate::error::{GrbacError, Result};
 use crate::explain::{Decision, Explanation, MatchedRule, Reason};
 use crate::id::{
-    DecisionIdMint, IdAllocator, ObjectId, RoleId, RuleId, SessionId, SubjectId, TransactionId,
+    DecisionId, DecisionIdMint, IdAllocator, ObjectId, RoleId, RuleId, SessionId, SubjectId,
+    TransactionId,
 };
 use crate::index::{Advance, CachedExpansion, CompiledIndex, IndexCell};
 use crate::precedence::ConflictStrategy;
@@ -980,20 +981,7 @@ impl Grbac {
     pub fn decide_traced(&self, request: &AccessRequest) -> Result<(Decision, DecisionTrace)> {
         let index = self.compiled();
         let id = self.decision_ids.mint();
-        let started = Instant::now();
-        let mut sink = TraceCollector::default();
-        let decision = self
-            .decide_with_index(request, &index, &mut sink)?
-            .with_decision_id(id);
-        let mut trace = sink.finish(started);
-        trace.decision_id = id;
-        self.metrics.note_decision(id);
-        self.metrics.observe_trace(&trace);
-        self.record_provenance(request, &decision, Some(&trace));
-        self.metrics
-            .events
-            .publish_decision(id, decision.effect(), decision.degraded().is_some());
-        Ok((decision, trace))
+        self.decide_sampled(request, &index, id, Instant::now())
     }
 
     /// Mediates a batch of requests against one snapshot of the
@@ -1042,46 +1030,64 @@ impl Grbac {
 
     /// The recorded mediation path shared by [`decide`](Self::decide)
     /// and [`decide_batch`](Self::decide_batch): runs the decision —
-    /// with a [`TraceCollector`] when this call won the latency sample,
-    /// with [`NoTrace`] otherwise — then feeds the continuous-profiling
-    /// series and the flight recorder. Sampling the *trace* (not just a
+    /// through [`Self::decide_sampled`] when this call won the latency
+    /// sample, with [`NoTrace`] otherwise — then hands it to
+    /// [`Self::record_decision`]. Sampling the *trace* (not just a
     /// timer) is what keeps the per-stage quantile sketches fed without
     /// taxing the common path with clock reads.
     fn decide_recorded(&self, request: &AccessRequest, index: &CompiledIndex) -> Result<Decision> {
         let id = self.decision_ids.mint();
         if let Some(started) = self.metrics.decide_timer() {
-            let mut sink = TraceCollector::default();
-            let result = self
-                .decide_with_index(request, index, &mut sink)
-                .map(|decision| decision.with_decision_id(id));
-            let mut trace = sink.finish(started);
-            trace.decision_id = id;
-            if let Ok(decision) = &result {
-                self.metrics.note_decision(id);
-                self.metrics.observe_trace(&trace);
-                self.record_provenance(request, decision, Some(&trace));
-                self.metrics.events.publish_decision(
-                    id,
-                    decision.effect(),
-                    decision.degraded().is_some(),
-                );
-            }
-            result
-        } else {
-            let result = self
-                .decide_with_index(request, index, &mut NoTrace)
-                .map(|decision| decision.with_decision_id(id));
-            if let Ok(decision) = &result {
-                self.metrics.note_decision(id);
-                self.record_provenance(request, decision, None);
-                self.metrics.events.publish_decision(
-                    id,
-                    decision.effect(),
-                    decision.degraded().is_some(),
-                );
-            }
-            result
+            return self
+                .decide_sampled(request, index, id, started)
+                .map(|(decision, _)| decision);
         }
+        let decision = self
+            .decide_with_index(request, index, &mut NoTrace)?
+            .with_decision_id(id);
+        self.record_decision(request, &decision, None);
+        Ok(decision)
+    }
+
+    /// Runs one decision under a [`TraceCollector`] whose clock started
+    /// at `started`, then records it with its trace: the path of
+    /// [`decide_traced`](Self::decide_traced) and of every
+    /// latency-sampled [`decide`](Self::decide).
+    fn decide_sampled(
+        &self,
+        request: &AccessRequest,
+        index: &CompiledIndex,
+        id: DecisionId,
+        started: Instant,
+    ) -> Result<(Decision, DecisionTrace)> {
+        let mut sink = TraceCollector::default();
+        let decision = self
+            .decide_with_index(request, index, &mut sink)?
+            .with_decision_id(id);
+        let mut trace = sink.finish(started);
+        trace.decision_id = id;
+        self.record_decision(request, &decision, Some(&trace));
+        Ok((decision, trace))
+    }
+
+    /// The one post-mediation record step: feeds a successful decision
+    /// to every evidence sink — the recent-id ring, the latency series
+    /// (when traced), the flight recorder and the event bus.
+    fn record_decision(
+        &self,
+        request: &AccessRequest,
+        decision: &Decision,
+        trace: Option<&DecisionTrace>,
+    ) {
+        let id = decision.decision_id();
+        self.metrics.note_decision(id);
+        if let Some(trace) = trace {
+            self.metrics.observe_trace(trace);
+        }
+        self.record_provenance(request, decision, trace);
+        self.metrics
+            .events
+            .publish_decision(id, decision.effect(), decision.degraded().is_some());
     }
 
     /// Appends one decision to the flight recorder (no-op when the
@@ -1586,21 +1592,7 @@ impl Grbac {
     /// Same as [`decide`](Self::decide).
     pub fn check(&mut self, request: &AccessRequest) -> Result<Decision> {
         let decision = self.decide(request)?;
-        let subject = match &request.actor {
-            Actor::Session(s) => Some(self.sessions.session(*s)?.subject()),
-            Actor::Subject(s) => Some(*s),
-            Actor::Sensed(ctx) => ctx.identity().map(|(s, _)| s),
-        };
-        self.audit.record_with_id(
-            decision.decision_id(),
-            subject,
-            request.transaction,
-            request.object,
-            decision.effect(),
-            decision.winning_rule(),
-            request.timestamp,
-            decision.degraded().copied(),
-        );
+        self.audit_decision(request, &decision);
         self.sync_audit_gauges();
         Ok(decision)
     }
@@ -1616,26 +1608,33 @@ impl Grbac {
         let decisions = self.decide_batch(requests);
         for (request, result) in requests.iter().zip(&decisions) {
             if let Ok(decision) = result {
-                let subject = match &request.actor {
-                    // The decide succeeded, so the session exists.
-                    Actor::Session(s) => self.sessions.session(*s).ok().map(|sess| sess.subject()),
-                    Actor::Subject(s) => Some(*s),
-                    Actor::Sensed(ctx) => ctx.identity().map(|(s, _)| s),
-                };
-                self.audit.record_with_id(
-                    decision.decision_id(),
-                    subject,
-                    request.transaction,
-                    request.object,
-                    decision.effect(),
-                    decision.winning_rule(),
-                    request.timestamp,
-                    decision.degraded().copied(),
-                );
+                self.audit_decision(request, decision);
             }
         }
         self.sync_audit_gauges();
         decisions
+    }
+
+    /// Appends one successful decision to the audit log: the one audit
+    /// step behind [`check`](Self::check) and
+    /// [`check_batch`](Self::check_batch).
+    fn audit_decision(&mut self, request: &AccessRequest, decision: &Decision) {
+        let subject = match &request.actor {
+            // The decide succeeded, so the session exists.
+            Actor::Session(s) => self.sessions.session(*s).ok().map(|sess| sess.subject()),
+            Actor::Subject(s) => Some(*s),
+            Actor::Sensed(ctx) => ctx.identity().map(|(s, _)| s),
+        };
+        self.audit.record_with_id(
+            decision.decision_id(),
+            subject,
+            request.transaction,
+            request.object,
+            decision.effect(),
+            decision.winning_rule(),
+            request.timestamp,
+            decision.degraded().copied(),
+        );
     }
 
     /// Renders a decision as plain language with all ids resolved to

@@ -5,7 +5,8 @@
 //! at 3am?" cannot be answered from policy text alone. This module is
 //! the historical layer over the live telemetry:
 //!
-//! * [`FlightRecorder`] — a bounded concurrent ring of
+//! * [`FlightRecorder`] — a locked
+//!   [`BoundedRing`](crate::telemetry::BoundedRing) of
 //!   [`ProvenanceRecord`]s, fed by every mediated decision
 //!   (`decide`, `decide_traced`, `check_batch`), retaining the full
 //!   request, the matched rules, the policy generation, the environment

@@ -1,15 +1,11 @@
-//! The decision flight recorder: a bounded, concurrent ring buffer of
+//! The decision flight recorder: a bounded, concurrent ring of
 //! [`ProvenanceRecord`]s.
 //!
-//! The recorder is a fixed-capacity multi-producer ring with
-//! drop-oldest semantics. Producers claim a global sequence number with
-//! one lock-free `fetch_add` — the sequence doubles as the slot index —
-//! then publish the record under that slot's own mutex. Because every
-//! claim maps to a distinct slot until the ring wraps a full lap, a
-//! slot mutex is only ever contended when two writers race a whole
-//! `capacity` of claims apart, so the publish step is uncontended in
-//! practice and the crate's `#![forbid(unsafe_code)]` stays intact (no
-//! seqlock tricks over raw memory).
+//! The recorder keeps the newest `capacity` records in one
+//! [`BoundedRing`] behind a `Mutex`, with drop-oldest eviction and the
+//! ring's exact loss count. The global sequence number is the ring's
+//! push ticket, assigned under the lock, so push order, `seq` order
+//! and snapshot order are one order.
 //!
 //! Each record also carries a per-writer sequence number: every thread
 //! that ever records is assigned a writer id, and its records are
@@ -19,9 +15,8 @@
 //! order — which the `prop_recorder` suite checks under concurrent
 //! `check_batch` writers.
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
@@ -30,6 +25,7 @@ use crate::engine::Actor;
 use crate::environment::EnvironmentSnapshot;
 use crate::id::{DecisionId, ObjectId, RoleId, RuleId, SubjectId, TransactionId};
 use crate::rule::Effect;
+use crate::telemetry::{lock, thread_id, BoundedRing};
 
 /// Distinct per-writer sequence counters; writer ids beyond this share
 /// a counter (the per-writer monotonicity guarantee still holds, the
@@ -58,7 +54,7 @@ pub fn env_fingerprint(environment: &EnvironmentSnapshot) -> u64 {
 /// latency-sampled or explicitly traced — where the nanoseconds went.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProvenanceRecord {
-    /// Global sequence number (the recorder's claim ticket; never
+    /// Global sequence number (the recorder ring's push ticket; never
     /// reused, survives drop-oldest eviction).
     pub seq: u64,
     /// The writer (producer thread) that recorded this decision.
@@ -130,15 +126,14 @@ impl ProvenanceRecord {
 /// A bounded multi-producer ring buffer of [`ProvenanceRecord`]s with
 /// drop-oldest semantics.
 ///
-/// See the [module docs](crate::provenance) for the concurrency
-/// design. A capacity
-/// of zero disables recording entirely ([`record`](Self::record)
-/// returns `None` without touching any state).
+/// One [`BoundedRing`] behind a `Mutex`; a record's `seq` is its push
+/// ticket. A capacity of zero disables recording entirely
+/// ([`record`](Self::record) returns `None` without touching any
+/// state).
 #[derive(Debug)]
 pub struct FlightRecorder {
-    slots: Vec<Mutex<Option<ProvenanceRecord>>>,
-    mask: u64,
-    next: AtomicU64,
+    capacity: usize,
+    ring: Mutex<BoundedRing<ProvenanceRecord>>,
     writer_seqs: Vec<AtomicU64>,
 }
 
@@ -148,8 +143,7 @@ impl FlightRecorder {
     pub const DEFAULT_CAPACITY: usize = 4096;
 
     /// Creates a recorder retaining the most recent `capacity` records;
-    /// non-zero capacities are rounded up to the next power of two so
-    /// the slot index is a mask of the claim ticket.
+    /// non-zero capacities are rounded up to the next power of two.
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
         let capacity = if capacity == 0 {
@@ -158,9 +152,8 @@ impl FlightRecorder {
             capacity.next_power_of_two()
         };
         Self {
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
-            mask: (capacity as u64).wrapping_sub(1),
-            next: AtomicU64::new(0),
+            capacity,
+            ring: Mutex::new(BoundedRing::new(capacity)),
             writer_seqs: (0..MAX_WRITERS).map(|_| AtomicU64::new(0)).collect(),
         }
     }
@@ -174,13 +167,13 @@ impl FlightRecorder {
     /// True when the recorder retains anything at all.
     #[must_use]
     pub fn is_enabled(&self) -> bool {
-        !self.slots.is_empty()
+        self.capacity != 0
     }
 
     /// Retention capacity (0 when disabled).
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
     /// Records a decision, overwriting the oldest record once the ring
@@ -188,38 +181,28 @@ impl FlightRecorder {
     /// are assigned here. Returns the assigned global sequence number,
     /// or `None` when the recorder is disabled.
     pub fn record(&self, mut record: ProvenanceRecord) -> Option<u64> {
-        if self.slots.is_empty() {
+        if !self.is_enabled() {
             return None;
         }
-        let writer = current_writer_id();
+        let writer = thread_id();
         record.writer = writer;
         record.writer_seq =
             self.writer_seqs[writer as usize % MAX_WRITERS].fetch_add(1, Ordering::Relaxed);
-        let seq = self.next.fetch_add(1, Ordering::Relaxed);
-        record.seq = seq;
-        let slot = &self.slots[(seq & self.mask) as usize];
-        let mut guard = slot.lock().unwrap_or_else(PoisonError::into_inner);
-        // Drop-oldest, not drop-newest: a writer that claimed this slot
-        // a full lap earlier but was descheduled before publishing must
-        // not overwrite the younger record that already landed.
-        if guard.as_ref().is_none_or(|existing| existing.seq <= seq) {
-            *guard = Some(record);
-        }
-        Some(seq)
+        let mut ring = lock(&self.ring);
+        record.seq = ring.pushed();
+        Some(ring.push(record))
     }
 
     /// Decisions ever recorded (including dropped ones).
     #[must_use]
     pub fn total_recorded(&self) -> u64 {
-        self.next.load(Ordering::Relaxed)
+        lock(&self.ring).pushed()
     }
 
     /// Records currently retained.
     #[must_use]
     pub fn len(&self) -> usize {
-        usize::try_from(self.total_recorded())
-            .unwrap_or(usize::MAX)
-            .min(self.capacity())
+        lock(&self.ring).len()
     }
 
     /// True when nothing has been recorded (or retention is disabled).
@@ -231,50 +214,40 @@ impl FlightRecorder {
     /// Records dropped by the ring so far.
     #[must_use]
     pub fn dropped(&self) -> u64 {
-        self.total_recorded().saturating_sub(self.capacity() as u64)
+        lock(&self.ring).dropped()
     }
 
-    /// A point-in-time copy of the retained records, oldest first.
-    ///
-    /// Taken while writers are active the copy is still well-formed
-    /// (each record is published atomically under its slot lock) but
-    /// may span a wrap boundary; quiesce writers first when the
-    /// sequence-contiguity guarantee matters.
+    /// A point-in-time copy of the retained records, oldest first: a
+    /// contiguous `seq` range ending at the newest record.
     #[must_use]
     pub fn snapshot(&self) -> Vec<ProvenanceRecord> {
-        let mut records: Vec<ProvenanceRecord> = self
-            .slots
-            .iter()
-            .filter_map(|slot| slot.lock().unwrap_or_else(PoisonError::into_inner).clone())
-            .collect();
-        records.sort_by_key(|record| record.seq);
-        records
+        self.latest(usize::MAX)
     }
 
     /// The most recent `n` retained records, oldest first.
     #[must_use]
     pub fn latest(&self, n: usize) -> Vec<ProvenanceRecord> {
-        let mut records = self.snapshot();
-        let keep = records.len().saturating_sub(n);
-        records.drain(..keep);
-        records
+        let ring = lock(&self.ring);
+        ring.iter()
+            .skip(ring.len().saturating_sub(n))
+            .cloned()
+            .collect()
     }
 
     /// The retained record carrying `decision_id`, if any — the
     /// recorder leg of a `/decision/<id>` correlation lookup. A linear
-    /// scan over the ring (the ring is small and bounded; correlation
-    /// lookups are operator-paced, not decide-paced).
+    /// scan by reference that clones only the hit (the ring is small
+    /// and bounded; correlation lookups are operator-paced, not
+    /// decide-paced).
     #[must_use]
     pub fn find(&self, decision_id: DecisionId) -> Option<ProvenanceRecord> {
         if !decision_id.is_assigned() {
             return None;
         }
-        self.slots.iter().find_map(|slot| {
-            slot.lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .clone()
-                .filter(|record| record.decision_id == decision_id)
-        })
+        lock(&self.ring)
+            .iter()
+            .find(|record| record.decision_id == decision_id)
+            .cloned()
     }
 }
 
@@ -282,23 +255,6 @@ impl Default for FlightRecorder {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// The calling thread's writer id, assigned on first use from a
-/// process-wide counter.
-fn current_writer_id() -> u32 {
-    static NEXT_WRITER: AtomicU32 = AtomicU32::new(0);
-    thread_local! {
-        static WRITER_ID: Cell<u32> = const { Cell::new(u32::MAX) };
-    }
-    WRITER_ID.with(|cell| {
-        let mut id = cell.get();
-        if id == u32::MAX {
-            id = NEXT_WRITER.fetch_add(1, Ordering::Relaxed);
-            cell.set(id);
-        }
-        id
-    })
 }
 
 #[cfg(test)]

@@ -13,20 +13,19 @@
 //!
 //! The design holds three invariants:
 //!
-//! * **Publishing never blocks.** Each subscriber owns a fixed-size
-//!   drop-oldest ring; a slow consumer loses its own oldest events
+//! * **Publishing never blocks.** Each subscriber owns a
+//!   [`BoundedRing`]; a slow consumer loses its own oldest events
 //!   (counted, never silently) and affects nobody else. The publish
 //!   path takes no lock a consumer can hold across a system call.
 //! * **Accounting is exact.** Per subscriber,
 //!   `delivered() + dropped() == published()` once the ring is fully
-//!   drained — every event offered to a subscriber is eventually
-//!   either handed over or counted as dropped.
+//!   drained — the ring's own `drained + dropped + len == pushed`
+//!   invariant, read back.
 //! * **Idle means free.** With no subscribers (or the runtime kill
 //!   switch off, or the `telemetry-off` feature), a publish is one or
 //!   two relaxed atomic loads and an early return — the decide path
 //!   pays nothing for a plane nobody is watching.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -34,7 +33,7 @@ use serde::Value;
 
 use super::health::AlertRecord;
 use super::span::monotonic_nanos;
-use super::ENABLED;
+use super::{lock, BoundedRing, ENABLED};
 use crate::id::DecisionId;
 use crate::rule::Effect;
 
@@ -340,17 +339,13 @@ impl EventFilter {
     }
 }
 
-/// One subscriber's shared state: its filter, its ring, and its exact
-/// accounting counters.
+/// One subscriber's shared state: its filter and its ring, whose
+/// counters are the subscriber's accounting.
 #[derive(Debug)]
 struct SubscriberState {
     id: u64,
     filter: EventFilter,
-    capacity: usize,
-    ring: Mutex<VecDeque<Arc<TelemetryEvent>>>,
-    published: AtomicU64,
-    delivered: AtomicU64,
-    dropped: AtomicU64,
+    ring: Mutex<BoundedRing<Arc<TelemetryEvent>>>,
 }
 
 /// The interior shared between the bus and its subscription handles.
@@ -455,11 +450,7 @@ impl EventBus {
         let state = Arc::new(SubscriberState {
             id: self.shared.next_subscriber.fetch_add(1, Ordering::Relaxed) + 1,
             filter,
-            capacity: capacity.max(1),
-            ring: Mutex::new(VecDeque::new()),
-            published: AtomicU64::new(0),
-            delivered: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
+            ring: Mutex::new(BoundedRing::new(capacity.max(1))),
         });
         self.shared
             .subscribers
@@ -534,17 +525,11 @@ impl EventBus {
             if !subscriber.filter.matches(&event) {
                 continue;
             }
-            subscriber.published.fetch_add(1, Ordering::Relaxed);
-            let mut ring = subscriber
-                .ring
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if ring.len() >= subscriber.capacity {
-                ring.pop_front();
-                subscriber.dropped.fetch_add(1, Ordering::Relaxed);
+            let mut ring = lock(&subscriber.ring);
+            if ring.is_full() {
                 self.shared.dropped.fetch_add(1, Ordering::Relaxed);
             }
-            ring.push_back(event.clone());
+            ring.push(event.clone());
         }
     }
 }
@@ -573,29 +558,14 @@ impl EventSubscription {
     /// Takes every event currently buffered, oldest first.
     #[must_use]
     pub fn drain(&self) -> Vec<Arc<TelemetryEvent>> {
-        let events: Vec<_> = {
-            let mut ring = self
-                .state
-                .ring
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            ring.drain(..).collect()
-        };
-        self.state
-            .delivered
-            .fetch_add(events.len() as u64, Ordering::Relaxed);
-        events
+        lock(&self.state.ring).drain().collect()
     }
 
     /// Events currently buffered (published, not yet drained or
     /// dropped).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.state
-            .ring
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .len()
+        lock(&self.state.ring).len()
     }
 
     /// True when nothing is buffered.
@@ -608,13 +578,13 @@ impl EventSubscription {
     /// to its ring.
     #[must_use]
     pub fn published(&self) -> u64 {
-        self.state.published.load(Ordering::Relaxed)
+        lock(&self.state.ring).pushed()
     }
 
     /// Events handed to the consumer by [`Self::drain`].
     #[must_use]
     pub fn delivered(&self) -> u64 {
-        self.state.delivered.load(Ordering::Relaxed)
+        lock(&self.state.ring).drained()
     }
 
     /// Events evicted from the ring before the consumer drained them.
@@ -622,7 +592,7 @@ impl EventSubscription {
     /// `delivered() + dropped() == published()`.
     #[must_use]
     pub fn dropped(&self) -> u64 {
-        self.state.dropped.load(Ordering::Relaxed)
+        lock(&self.state.ring).dropped()
     }
 }
 

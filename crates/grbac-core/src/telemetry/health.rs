@@ -27,17 +27,15 @@
 //! alarms on the *transition* into an incident; rates that stay bad
 //! become the new normal (re-arm by replacing the watchdog).
 //!
-//! Alerts are [`AlertRecord`]s: kept in the watchdog's bounded log,
-//! counted per kind into the registry
+//! Alerts are [`AlertRecord`]s: kept in the watchdog's bounded log (a
+//! [`BoundedRing`] of `max_alerts`), counted per kind into the registry
 //! (`grbac_alerts_total{kind="…"}`), with the learned baselines
 //! mirrored as gauges — all of which both exporters render.
-
-use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 
 use super::metrics::MetricsRegistry;
-use super::ENABLED;
+use super::{BoundedRing, ENABLED};
 use crate::id::DecisionId;
 
 /// The four decision-stream signals a watchdog baselines.
@@ -233,8 +231,7 @@ pub struct DecisionWatchdog {
     id_cursor: u64,
     baselines: [Baseline; 4],
     ticks: u64,
-    next_seq: u64,
-    alerts: VecDeque<AlertRecord>,
+    alerts: BoundedRing<AlertRecord>,
 }
 
 impl Default for DecisionWatchdog {
@@ -254,8 +251,7 @@ impl DecisionWatchdog {
             id_cursor: 0,
             baselines: [Baseline::default(); 4],
             ticks: 0,
-            next_seq: 0,
-            alerts: VecDeque::new(),
+            alerts: BoundedRing::new(config.max_alerts),
         }
     }
 
@@ -282,7 +278,7 @@ impl DecisionWatchdog {
     /// Total alerts ever raised (including any dropped from the log).
     #[must_use]
     pub fn alert_count(&self) -> u64 {
-        self.next_seq
+        self.alerts.pushed()
     }
 
     /// Evaluates one tick: diffs the registry counters against the
@@ -342,7 +338,7 @@ impl DecisionWatchdog {
                 self.baselines[slot].observe(observed, &self.config)
             {
                 let record = AlertRecord {
-                    seq: self.next_seq,
+                    seq: self.alerts.pushed(),
                     tick: self.ticks,
                     kind,
                     observed,
@@ -351,15 +347,11 @@ impl DecisionWatchdog {
                     window,
                     decision_ids: window_ids.clone(),
                 };
-                self.next_seq += 1;
                 registry.alerts_by_kind.add(kind.slot(), 1);
                 registry
                     .events
                     .publish(super::events::EventData::Alert(record.clone()));
-                self.alerts.push_back(record.clone());
-                while self.alerts.len() > self.config.max_alerts {
-                    self.alerts.pop_front();
-                }
+                self.alerts.push(record.clone());
                 raised.push(record);
             }
         }

@@ -24,14 +24,13 @@
 //! otherwise identical engine; under the `telemetry-off` feature every
 //! update compiles to a no-op like the rest of the registry.
 
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::RwLock;
 
 use serde::{Deserialize, Serialize};
 
-use super::ENABLED;
+use super::{thread_id, ENABLED};
 
 /// Number of shards; a small power of two keeps the reader merge cheap
 /// while spreading batch workers across cache lines.
@@ -119,24 +118,6 @@ impl Shard {
         cells.reserve(capacity.saturating_sub(len));
         cells.capacity()
     }
-}
-
-/// The shard this thread publishes into (assigned round-robin on first
-/// touch and cached for the thread's lifetime).
-fn shard_index() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static PINNED: Cell<usize> = const { Cell::new(usize::MAX) };
-    }
-    PINNED.with(|pinned| {
-        let cached = pinned.get();
-        if cached != usize::MAX {
-            return cached;
-        }
-        let assigned = NEXT.fetch_add(1, Ordering::Relaxed) % SHARDS;
-        pinned.set(assigned);
-        assigned
-    })
 }
 
 /// Sharded per-rule heat counters (see the module docs).
@@ -278,7 +259,7 @@ impl RuleHeat {
         if !self.is_enabled() {
             return;
         }
-        let shard = &self.shards[shard_index()];
+        let shard = &self.shards[thread_id() as usize % SHARDS];
         let stamp = generation.wrapping_add(1).max(1);
         for raw in matched {
             shard.with_cell(raw as usize, |cell| {

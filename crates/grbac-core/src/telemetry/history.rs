@@ -2,7 +2,7 @@
 //!
 //! Scrape-based exporters see levels; operators asking "is the deny
 //! rate climbing *right now*?" need derivatives. [`MetricsHistory`]
-//! keeps a bounded ring of periodic [`MetricsSnapshot`] deltas —
+//! keeps a [`BoundedRing`] of periodic [`MetricsSnapshot`] deltas —
 //! each window is one [`MetricsSnapshot::delta`] against the previous
 //! capture, stamped with its real elapsed time — and answers windowed
 //! rate queries (deny rate, decide throughput, degraded ppm) plus
@@ -14,11 +14,11 @@
 //! window carries its own `elapsed_ns`, so rates stay honest even
 //! when capture intervals wobble.
 
-use std::collections::VecDeque;
 use std::sync::Mutex;
 
 use super::metrics::MetricsSnapshot;
 use super::span::monotonic_nanos;
+use super::{lock, BoundedRing};
 
 /// One captured window: the counter movement since the previous
 /// capture and how long that took.
@@ -39,16 +39,13 @@ pub struct HistoryWindow {
 #[derive(Debug)]
 struct HistoryInner {
     last: Option<(MetricsSnapshot, u64)>,
-    windows: VecDeque<HistoryWindow>,
-    captures: u64,
-    evicted: u64,
+    windows: BoundedRing<HistoryWindow>,
 }
 
 /// A bounded ring of periodic metrics-snapshot deltas with windowed
 /// rate queries.
 #[derive(Debug)]
 pub struct MetricsHistory {
-    capacity: usize,
     inner: Mutex<HistoryInner>,
 }
 
@@ -61,12 +58,9 @@ impl MetricsHistory {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         Self {
-            capacity: capacity.max(1),
             inner: Mutex::new(HistoryInner {
                 last: None,
-                windows: VecDeque::new(),
-                captures: 0,
-                evicted: 0,
+                windows: BoundedRing::new(capacity.max(1)),
             }),
         }
     }
@@ -74,7 +68,7 @@ impl MetricsHistory {
     /// The ring's capacity in windows.
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.capacity
+        lock(&self.inner).windows.capacity()
     }
 
     /// Captures one snapshot, stamped with the monotonic clock. The
@@ -87,36 +81,24 @@ impl MetricsHistory {
     /// Like [`Self::record`] with an explicit capture timestamp
     /// (tests and replay tooling drive this directly).
     pub fn record_at(&self, snapshot: MetricsSnapshot, nanos: u64) -> Option<HistoryWindow> {
-        let mut inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut inner = lock(&self.inner);
         let (previous, previous_nanos) = inner.last.replace((snapshot, nanos))?;
         let (current, _) = inner.last.as_ref().expect("just replaced");
         let delta = current.delta(&previous);
-        inner.captures += 1;
         let window = HistoryWindow {
-            index: inner.captures,
+            index: inner.windows.pushed() + 1,
             nanos,
             elapsed_ns: nanos.saturating_sub(previous_nanos).max(1),
             delta,
         };
-        if inner.windows.len() >= self.capacity {
-            inner.windows.pop_front();
-            inner.evicted += 1;
-        }
-        inner.windows.push_back(window.clone());
+        inner.windows.push(window.clone());
         Some(window)
     }
 
     /// Windows currently retained.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .windows
-            .len()
+        lock(&self.inner).windows.len()
     }
 
     /// True when no window has been captured yet.
@@ -128,20 +110,14 @@ impl MetricsHistory {
     /// Windows evicted by the ring so far.
     #[must_use]
     pub fn evicted(&self) -> u64 {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .evicted
+        lock(&self.inner).windows.dropped()
     }
 
     /// The last `windows` captured windows, oldest first (fewer when
     /// the ring holds fewer).
     #[must_use]
     pub fn windows(&self, windows: usize) -> Vec<HistoryWindow> {
-        let inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let inner = lock(&self.inner);
         let skip = inner.windows.len().saturating_sub(windows);
         inner.windows.iter().skip(skip).cloned().collect()
     }

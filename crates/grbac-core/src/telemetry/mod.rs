@@ -19,9 +19,9 @@
 //! * [`Span`] / [`SpanStore`] / [`TraceContext`] — wire-propagated
 //!   request tracing: `traceparent`-style context parsed from (and
 //!   echoed onto) the serve protocol, spans covering queue wait, lock
-//!   acquisition and the engine call, collected in a sharded
-//!   drop-oldest ring with counted evictions and a runtime sampling
-//!   rate. Engine-call spans are stamped with the decision's
+//!   acquisition and the engine call, collected in sharded
+//!   [`BoundedRing`]s under a runtime sampling rate. Engine-call
+//!   spans are stamped with the decision's
 //!   [`DecisionId`](crate::id::DecisionId), joining traces to the
 //!   flight-recorder/audit/exemplar evidence. Deliberately *not*
 //!   compiled out by `telemetry-off` (propagation is a wire contract).
@@ -45,14 +45,17 @@
 //! * [`EventBus`] — the push plane: a bounded multi-subscriber
 //!   broadcast of typed [`TelemetryEvent`]s (decisions with their
 //!   effect and id, watchdog alerts, degraded-mode edges, policy-delta
-//!   installs, completed spans) with per-subscriber drop-oldest rings,
-//!   exact `delivered + dropped == published` accounting, and a
-//!   runtime kill switch. Publishing with nobody subscribed is a
+//!   installs, completed spans) with one [`BoundedRing`] per
+//!   subscriber, so `delivered + dropped == published` holds exactly,
+//!   and a runtime kill switch. Publishing with nobody subscribed is a
 //!   couple of relaxed loads.
-//! * [`MetricsHistory`] — the time-series plane: a bounded ring of
+//! * [`MetricsHistory`] — the time-series plane: a [`BoundedRing`] of
 //!   periodic [`MetricsSnapshot`] deltas with windowed rate queries
 //!   (deny rate, decide throughput, degraded ppm) feeding the obs
 //!   server's `/timeseries` endpoint and dashboard sparklines.
+//! * [`BoundedRing`] — the one drop-oldest ring every bounded sink
+//!   above (and the flight recorder) keeps its evidence in, with exact
+//!   `len + dropped + drained == pushed` accounting.
 //!
 //! Telemetry is **on by default and cheap**: every counter update is a
 //! single relaxed atomic operation, decision latency is sampled (one
@@ -69,6 +72,7 @@ mod health;
 mod heat;
 mod history;
 mod metrics;
+mod ring;
 mod sketch;
 mod span;
 mod trace;
@@ -85,6 +89,7 @@ pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, KeyedCounter, KeyedSnapshot, MetricsRegistry,
     MetricsSnapshot, QuantileSnapshot, SummaryFamily,
 };
+pub use ring::BoundedRing;
 pub use sketch::{Exemplar, QuantileSketch, SketchSnapshot};
 pub use span::{
     assemble_trace, monotonic_nanos, otlp_value, unix_nanos_at, Span, SpanId, SpanKind, SpanStatus,
@@ -94,6 +99,9 @@ pub use trace::{DecisionTrace, Stage, StageRecord};
 
 pub(crate) use trace::{NoTrace, TraceCollector, TraceSink};
 
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 /// True when the crate was built with telemetry enabled (the default).
 ///
 /// With the `telemetry-off` feature every counter, gauge and histogram
@@ -101,3 +109,19 @@ pub(crate) use trace::{NoTrace, TraceCollector, TraceSink};
 /// tests can branch on this constant instead of duplicating the
 /// feature gate.
 pub const ENABLED: bool = cfg!(not(feature = "telemetry-off"));
+
+/// The calling thread's id, assigned on first use from a process-wide
+/// counter and stable for the thread's life: the writer stamp of
+/// recorded evidence and the shard a thread pins to.
+pub(crate) fn thread_id() -> u32 {
+    static NEXT: AtomicU32 = AtomicU32::new(0);
+    thread_local!(static ID: u32 = NEXT.fetch_add(1, Ordering::Relaxed));
+    ID.with(|id| *id)
+}
+
+/// Locks `mutex`, recovering the data from a poisoned lock: every
+/// sink's state stays consistent between operations, so a panicking
+/// holder leaves nothing half-written.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}

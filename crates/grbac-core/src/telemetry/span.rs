@@ -11,13 +11,13 @@
 //! the minted [`DecisionId`], which joins spans to the
 //! provenance/audit/exemplar evidence the decision left behind.
 //!
-//! The store mirrors the
-//! [`FlightRecorder`](crate::provenance::FlightRecorder) concurrency
-//! design, sharded: writers pin to a shard by thread, claim a global
-//! sequence ticket with one lock-free `fetch_add`, then publish under
-//! the slot's own mutex with a drop-oldest guard. Evictions are counted
-//! exactly (`dropped`), and self-initiated sampling uses the same
-//! power-of-two mask scheme as the registry's latency sampler.
+//! The store keeps spans like the
+//! [`FlightRecorder`](crate::provenance::FlightRecorder) keeps records,
+//! sharded: writers pin to a shard by thread, and each shard is one
+//! locked [`BoundedRing`]. A span's global sequence ticket is drawn
+//! under its shard's lock. Evictions are counted exactly (`dropped`),
+//! and self-initiated sampling uses the same power-of-two mask scheme
+//! as the registry's latency sampler.
 //!
 //! Timestamps are **monotonic process nanoseconds** (see
 //! [`monotonic_nanos`]): cheap, overflow-free for centuries, and
@@ -29,13 +29,13 @@
 //! client that asked for a recorded span must get one regardless of how
 //! the engine's internal counters were compiled.
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 
+use super::{lock, thread_id, BoundedRing};
 use crate::id::DecisionId;
 
 /// Distinct per-writer sequence counters; writer ids beyond this share
@@ -44,8 +44,7 @@ use crate::id::DecisionId;
 const MAX_WRITERS: usize = 128;
 
 /// Shard count of a [`SpanStore`] (power of two; threads pin to a
-/// shard, so claims from different cores rarely touch the same cache
-/// line).
+/// shard, so writers on different cores rarely share a lock).
 const SHARDS: usize = 8;
 
 /// The process-wide clock base: an `Instant` paired with the wall-clock
@@ -452,7 +451,7 @@ pub struct Span {
     pub start_ns: u64,
     /// End, in [`monotonic_nanos`] (0 while in flight).
     pub end_ns: u64,
-    /// Store claim ticket (assigned on record; never reused).
+    /// Store-wide sequence number (assigned on record; never reused).
     pub seq: u64,
     /// The writer (producer thread) that recorded this span.
     pub writer: u32,
@@ -710,51 +709,14 @@ pub fn otlp_value(service_name: &str, spans: &[Span]) -> Value {
     )])
 }
 
-/// One shard of the store: its own slot ring and ring cursor. The
-/// global claim ticket lives on the store so `seq` stays totally
-/// ordered across shards.
-#[derive(Debug)]
-struct Shard {
-    slots: Vec<Mutex<Option<Span>>>,
-    mask: u64,
-    cursor: AtomicU64,
-}
-
-impl Shard {
-    fn with_capacity(capacity: usize) -> Self {
-        debug_assert!(capacity.is_power_of_two());
-        Self {
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
-            mask: (capacity as u64).wrapping_sub(1),
-            cursor: AtomicU64::new(0),
-        }
-    }
-
-    fn len(&self) -> usize {
-        usize::try_from(self.cursor.load(Ordering::Relaxed))
-            .unwrap_or(usize::MAX)
-            .min(self.slots.len())
-    }
-
-    fn dropped(&self) -> u64 {
-        self.cursor
-            .load(Ordering::Relaxed)
-            .saturating_sub(self.slots.len() as u64)
-    }
-}
-
 /// A bounded, sharded, multi-producer store of finished [`Span`]s with
 /// drop-oldest semantics, counted evictions, and a runtime sampling
 /// rate.
 ///
-/// Writers pin to a shard per thread; a span record is one lock-free
-/// global `fetch_add` (the `seq` ticket), one lock-free shard-cursor
-/// `fetch_add` (the slot index), and one uncontended slot-mutex publish
-/// — the same design as the
-/// [`FlightRecorder`](crate::provenance::FlightRecorder), sharded so
-/// many cores recording concurrently don't share ring cursors.
-/// Retention is per shard (`capacity / SHARDS` each), so a single hot
-/// thread can evict only its own shard's history.
+/// Writers pin to a shard per thread; each shard is one locked
+/// [`BoundedRing`], so many cores recording concurrently rarely share
+/// a lock. Retention is per shard (`capacity / SHARDS` each), so a
+/// single hot thread can evict only its own shard's history.
 ///
 /// Two independent switches gate recording:
 /// * [`set_enabled`](Self::set_enabled) — the master switch; when off,
@@ -764,7 +726,7 @@ impl Shard {
 ///   in `rate`); client-sampled requests bypass the rate entirely.
 #[derive(Debug)]
 pub struct SpanStore {
-    shards: Vec<Shard>,
+    shards: Vec<Mutex<BoundedRing<Span>>>,
     next_seq: AtomicU64,
     enabled: AtomicBool,
     sample_tick: AtomicU64,
@@ -792,7 +754,7 @@ impl SpanStore {
         } else {
             let per_shard = capacity.div_ceil(SHARDS).next_power_of_two();
             (0..SHARDS)
-                .map(|_| Shard::with_capacity(per_shard))
+                .map(|_| Mutex::new(BoundedRing::new(per_shard)))
                 .collect()
         };
         Self {
@@ -814,7 +776,7 @@ impl SpanStore {
     /// Total retention across shards (0 when disabled at construction).
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.shards.iter().map(|shard| shard.slots.len()).sum()
+        self.shards.iter().map(|shard| lock(shard).capacity()).sum()
     }
 
     /// Master recording switch. Off, [`record`](Self::record) and
@@ -859,27 +821,19 @@ impl SpanStore {
     /// Records a finished span, overwriting the oldest span in the
     /// writing thread's shard once that ring is full. The span's
     /// `seq`/`writer`/`writer_seq` fields are assigned here. Returns
-    /// the claim ticket, or `None` when recording is off.
+    /// the span's `seq`, or `None` when recording is off.
     pub fn record(&self, mut span: Span) -> Option<u64> {
         if !self.is_enabled() {
             return None;
         }
-        let writer = current_writer_id();
+        let writer = thread_id();
         span.writer = writer;
         span.writer_seq =
             self.writer_seqs[writer as usize % MAX_WRITERS].fetch_add(1, Ordering::Relaxed);
+        let mut shard = lock(&self.shards[writer as usize % SHARDS]);
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         span.seq = seq;
-        let shard = &self.shards[writer as usize % SHARDS];
-        let index = shard.cursor.fetch_add(1, Ordering::Relaxed);
-        let slot = &shard.slots[(index & shard.mask) as usize];
-        let mut guard = slot.lock().unwrap_or_else(PoisonError::into_inner);
-        // Drop-oldest: a writer descheduled a full shard lap between
-        // claim and publish must not clobber the younger span that
-        // already landed.
-        if guard.as_ref().is_none_or(|existing| existing.seq <= seq) {
-            *guard = Some(span);
-        }
+        shard.push(span);
         Some(seq)
     }
 
@@ -892,7 +846,7 @@ impl SpanStore {
     /// Spans currently retained.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards.iter().map(Shard::len).sum()
+        self.shards.iter().map(|shard| lock(shard).len()).sum()
     }
 
     /// True when nothing is retained.
@@ -901,44 +855,37 @@ impl SpanStore {
         self.len() == 0
     }
 
-    /// Spans evicted by drop-oldest so far (exact: each shard counts
-    /// its own ring laps).
+    /// Spans evicted by drop-oldest so far (exact: each shard's ring
+    /// counts its own evictions).
     #[must_use]
     pub fn dropped(&self) -> u64 {
-        self.shards.iter().map(Shard::dropped).sum()
+        self.shards.iter().map(|shard| lock(shard).dropped()).sum()
     }
 
-    /// A point-in-time copy of every retained span, ordered by claim
-    /// ticket (oldest first). Well-formed under concurrent writers
-    /// (publishes are atomic per slot); quiesce writers when exact
-    /// retention windows matter.
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<Span> {
-        let mut spans: Vec<Span> = self
-            .shards
-            .iter()
-            .flat_map(|shard| shard.slots.iter())
-            .filter_map(|slot| slot.lock().unwrap_or_else(PoisonError::into_inner).clone())
-            .collect();
+    /// Clones of the retained spans that pass `keep`, ordered by `seq`
+    /// (oldest first); spans that fail `keep` are never cloned.
+    fn collect(&self, keep: impl Fn(&Span) -> bool) -> Vec<Span> {
+        let mut spans: Vec<Span> = Vec::new();
+        for shard in &self.shards {
+            spans.extend(lock(shard).iter().filter(|span| keep(span)).cloned());
+        }
         spans.sort_by_key(|span| span.seq);
         spans
+    }
+
+    /// A point-in-time copy of every retained span, ordered by `seq`
+    /// (oldest first). Shards are read one at a time, so quiesce
+    /// writers when exact retention windows matter.
+    #[must_use]
+    pub fn snapshot(&self) -> Vec<Span> {
+        self.collect(|_| true)
     }
 
     /// Every retained span of `trace_id`, ordered by start time. A
     /// linear scan (operator-paced, like the recorder's `find`).
     #[must_use]
     pub fn trace(&self, trace_id: TraceId) -> Vec<Span> {
-        let mut spans: Vec<Span> = self
-            .shards
-            .iter()
-            .flat_map(|shard| shard.slots.iter())
-            .filter_map(|slot| {
-                slot.lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .clone()
-                    .filter(|span| span.trace_id == trace_id)
-            })
-            .collect();
+        let mut spans = self.collect(|span| span.trace_id == trace_id);
         spans.sort_by_key(|span| (span.start_ns, span.seq));
         spans
     }
@@ -947,7 +894,7 @@ impl SpanStore {
     /// the `/traces` listing.
     #[must_use]
     pub fn roots(&self) -> Vec<Span> {
-        let mut roots: Vec<Span> = self.snapshot().into_iter().filter(Span::is_root).collect();
+        let mut roots = self.collect(Span::is_root);
         roots.reverse();
         roots
     }
@@ -957,24 +904,6 @@ impl Default for SpanStore {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// The calling thread's writer id, assigned on first use from a
-/// process-wide counter (same scheme as the flight recorder; the ids
-/// are store-independent, they only need to be thread-stable).
-fn current_writer_id() -> u32 {
-    static NEXT_WRITER: AtomicU32 = AtomicU32::new(0);
-    thread_local! {
-        static WRITER_ID: Cell<u32> = const { Cell::new(u32::MAX) };
-    }
-    WRITER_ID.with(|cell| {
-        let mut id = cell.get();
-        if id == u32::MAX {
-            id = NEXT_WRITER.fetch_add(1, Ordering::Relaxed);
-            cell.set(id);
-        }
-        id
-    })
 }
 
 #[cfg(test)]

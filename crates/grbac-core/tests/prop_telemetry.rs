@@ -1,11 +1,15 @@
 //! Telemetry property suite: `Grbac::decide_traced` must return the
 //! same decision as `Grbac::decide` on identical input — the trace is
-//! an observation, never an influence — and the registry's decision
-//! counters must account for exactly the decisions made, over random
-//! policies and actor postures.
+//! an observation, never an influence — the registry's decision
+//! counters must account for exactly the decisions made, and a traced
+//! decide must leave the same evidence as a latency-sampled one, over
+//! random policies and actor postures.
+
+use std::collections::BTreeMap;
 
 use grbac_core::prelude::*;
-use grbac_core::telemetry::{self, Stage};
+use grbac_core::provenance::ProvenanceRecord;
+use grbac_core::telemetry::{self, EventData, EventFilter, EventKind, MetricsSnapshot, Stage};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
@@ -168,6 +172,47 @@ fn random_request(rng: &mut StdRng, model: &mut Model) -> AccessRequest {
     }
 }
 
+/// A recorder record with the fields that differ between two engines
+/// (ids, writer stamps) or between two runs (timings) masked. Whether
+/// the record kept a trace stays visible.
+fn masked(mut record: ProvenanceRecord) -> ProvenanceRecord {
+    record.seq = 0;
+    record.writer = 0;
+    record.writer_seq = 0;
+    record.decision_id = DecisionId::UNASSIGNED;
+    record.stage_nanos = record.stage_nanos.map(|_| [0; 5]);
+    record.total_nanos = record.total_nanos.map(|_| 0);
+    record
+}
+
+/// The decision counters of a snapshot.
+fn decision_counters(snapshot: &MetricsSnapshot) -> Vec<u64> {
+    [
+        "grbac_decisions_permit_total",
+        "grbac_decisions_deny_total",
+        "grbac_decisions_degraded_total",
+        "grbac_decide_errors_total",
+        "grbac_decide_sampled_total",
+    ]
+    .map(|name| snapshot.counter(name))
+    .to_vec()
+}
+
+/// Observation counts of every quantile series (the end-to-end and
+/// per-stage latency sketches).
+fn sketch_counts(snapshot: &MetricsSnapshot) -> BTreeMap<(String, String), u64> {
+    snapshot
+        .summaries
+        .iter()
+        .flat_map(|(family, summary)| {
+            summary
+                .series
+                .iter()
+                .map(move |(label, reading)| ((family.clone(), label.clone()), reading.count))
+        })
+        .collect()
+}
+
 proptest! {
     /// decide_traced() ≡ decide() — same decision (effect, winner,
     /// matched set, explanation) on identical input — and every
@@ -230,5 +275,70 @@ proptest! {
             prop_assert_eq!(delta.counter("grbac_decide_errors_total"), errors);
             prop_assert_eq!(delta.counter("grbac_batch_calls_total"), 1);
         }
+    }
+
+    /// decide_traced() and a latency-sampled decide() run one record
+    /// step: two engines built from one seed, one deciding through
+    /// `decide_traced` and the other through `decide` at sample rate 1,
+    /// end with equal recorder records, bus events, heat, decision
+    /// counters and stage-sketch counts.
+    fn traced_and_sampled_decides_leave_the_same_evidence(seed in any::<u64>()) {
+        let (mut traced_rng, mut sampled_rng) =
+            (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+        let mut traced = build_model(&mut traced_rng);
+        let mut sampled = build_model(&mut sampled_rng);
+        sampled.g.metrics().set_latency_sample_rate(1);
+        let traced_bus = traced.g.metrics().events.subscribe(64, EventFilter::all());
+        let sampled_bus = sampled.g.metrics().events.subscribe(64, EventFilter::all());
+        for _ in 0..8 {
+            let request = random_request(&mut traced_rng, &mut traced);
+            let twin = random_request(&mut sampled_rng, &mut sampled);
+            let _ = traced.g.decide_traced(&request);
+            let _ = sampled.g.decide(&twin);
+        }
+
+        let records = |model: &Model| -> Vec<ProvenanceRecord> {
+            model.g.flight_recorder().snapshot().into_iter().map(masked).collect()
+        };
+        if telemetry::ENABLED {
+            prop_assert_eq!(records(&traced), records(&sampled));
+        } else {
+            // Compiled-out telemetry never samples, so only the
+            // explicitly traced records carry timings.
+            let untimed = |model: &Model| -> Vec<ProvenanceRecord> {
+                records(model)
+                    .into_iter()
+                    .map(|mut record| {
+                        record.stage_nanos = None;
+                        record.total_nanos = None;
+                        record
+                    })
+                    .collect()
+            };
+            prop_assert_eq!(untimed(&traced), untimed(&sampled));
+        }
+
+        let events = |bus: &telemetry::EventSubscription| -> Vec<(EventKind, Option<Effect>)> {
+            bus.drain()
+                .iter()
+                .map(|event| {
+                    let effect = match &event.data {
+                        EventData::Decision { effect, .. } => Some(*effect),
+                        _ => None,
+                    };
+                    (event.kind(), effect)
+                })
+                .collect()
+        };
+        prop_assert_eq!(events(&traced_bus), events(&sampled_bus));
+        prop_assert_eq!(traced.g.heat_snapshot(), sampled.g.heat_snapshot());
+
+        let (traced_metrics, sampled_metrics) =
+            (traced.g.metrics().snapshot(), sampled.g.metrics().snapshot());
+        prop_assert_eq!(
+            decision_counters(&traced_metrics),
+            decision_counters(&sampled_metrics)
+        );
+        prop_assert_eq!(sketch_counts(&traced_metrics), sketch_counts(&sampled_metrics));
     }
 }

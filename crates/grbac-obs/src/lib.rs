@@ -72,7 +72,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -84,9 +83,9 @@ use std::time::{Duration, Instant};
 use grbac_core::analysis::health_report;
 use grbac_core::provenance::decision_story;
 use grbac_core::telemetry::{
-    assemble_trace, otlp_value, DecisionWatchdog, EventFilter, EventKind, EventSubscription,
-    Exporter, JsonExporter, MetricsHistory, PrometheusExporter, Severity, SpanStore, SpanTree,
-    TelemetryEvent, TraceId,
+    assemble_trace, otlp_value, BoundedRing, DecisionWatchdog, EventFilter, EventKind,
+    EventSubscription, Exporter, JsonExporter, MetricsHistory, PrometheusExporter, Severity,
+    SpanStore, SpanTree, TelemetryEvent, TraceId,
 };
 use grbac_core::{DecisionId, Grbac};
 use serde::Value;
@@ -104,7 +103,7 @@ use serde::Value;
 #[derive(Debug)]
 pub struct LiveTelemetry {
     subscription: EventSubscription,
-    ring: Mutex<VecDeque<Arc<TelemetryEvent>>>,
+    ring: Mutex<BoundedRing<Arc<TelemetryEvent>>>,
     history: MetricsHistory,
     last_scrape: Mutex<Option<Instant>>,
 }
@@ -126,7 +125,7 @@ impl LiveTelemetry {
             .subscribe(Self::RETAINED_EVENTS, EventFilter::all());
         Self {
             subscription,
-            ring: Mutex::new(VecDeque::new()),
+            ring: Mutex::new(BoundedRing::new(Self::RETAINED_EVENTS)),
             history: MetricsHistory::new(MetricsHistory::DEFAULT_CAPACITY),
             last_scrape: Mutex::new(None),
         }
@@ -143,18 +142,12 @@ impl LiveTelemetry {
     /// [`RETAINED_EVENTS`](Self::RETAINED_EVENTS).
     fn pump(&self) {
         let events = self.subscription.drain();
-        if events.is_empty() {
-            return;
-        }
         let mut ring = self
             .ring
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         for event in events {
-            if ring.len() >= Self::RETAINED_EVENTS {
-                ring.pop_front();
-            }
-            ring.push_back(event);
+            ring.push(event);
         }
     }
 
@@ -724,7 +717,7 @@ const MAX_HEAD_BYTES: u64 = 8 * 1024;
 enum HeadError {
     /// The head ran past [`MAX_HEAD_BYTES`] before its blank line.
     TooLarge,
-    /// A timeout, a reset, or bytes that are not UTF-8.
+    /// A timeout, a reset, or a request line that is not UTF-8.
     Io,
 }
 
@@ -735,16 +728,35 @@ impl From<std::io::Error> for HeadError {
 }
 
 /// Parses the request line of one HTTP/1.1 request, reading at most
-/// [`MAX_HEAD_BYTES`] of head. Headers are read and discarded except
-/// `Last-Event-ID` (the server is otherwise GET-only and stateless).
-/// The query string (without the `?`) is preserved for the routes that
-/// filter, empty when absent.
-fn parse_request(stream: &TcpStream) -> Result<Option<ParsedRequest>, HeadError> {
-    let mut reader = BufReader::new(stream.try_clone()?.take(MAX_HEAD_BYTES));
-    let mut line = String::new();
+/// [`MAX_HEAD_BYTES`] of head from `input`. Headers are read and
+/// discarded except `Last-Event-ID` (the server is otherwise GET-only
+/// and stateless); their bytes need not be UTF-8. The whole head is
+/// read before the request line is judged, so a head past the cap is
+/// always [`HeadError::TooLarge`]. The query string (without the `?`)
+/// is preserved for the routes that filter, empty when absent.
+fn parse_request(input: impl Read) -> Result<Option<ParsedRequest>, HeadError> {
+    let mut reader = BufReader::new(input.take(MAX_HEAD_BYTES));
+    let mut line = Vec::new();
     if !read_head_line(&mut reader, &mut line)? {
         return Ok(None);
     }
+    // Drain the headers so the peer sees the response after a clean
+    // request; bodies are ignored (GET has none).
+    let mut last_event_id = None;
+    let mut header = Vec::new();
+    loop {
+        header.clear();
+        if !read_head_line(&mut reader, &mut header)? || header == b"\r\n" || header == b"\n" {
+            break;
+        }
+        let field = std::str::from_utf8(&header).ok();
+        if let Some((name, value)) = field.and_then(|field| field.split_once(':')) {
+            if name.trim().eq_ignore_ascii_case("last-event-id") {
+                last_event_id = value.trim().parse::<u64>().ok();
+            }
+        }
+    }
+    let line = String::from_utf8(line).map_err(|_| HeadError::Io)?;
     let mut parts = line.split_whitespace();
     let method = parts.next().unwrap_or_default().to_owned();
     let target = parts.next().unwrap_or_default();
@@ -752,20 +764,6 @@ fn parse_request(stream: &TcpStream) -> Result<Option<ParsedRequest>, HeadError>
         Some((path, query)) => (path.to_owned(), query.to_owned()),
         None => (target.to_owned(), String::new()),
     };
-    // Drain the headers so the peer sees the response after a clean
-    // request; bodies are ignored (GET has none).
-    let mut last_event_id = None;
-    loop {
-        let mut header = String::new();
-        if !read_head_line(&mut reader, &mut header)? || header == "\r\n" || header == "\n" {
-            break;
-        }
-        if let Some((name, value)) = header.split_once(':') {
-            if name.trim().eq_ignore_ascii_case("last-event-id") {
-                last_event_id = value.trim().parse::<u64>().ok();
-            }
-        }
-    }
     Ok(Some(ParsedRequest {
         method,
         path,
@@ -777,12 +775,12 @@ fn parse_request(stream: &TcpStream) -> Result<Option<ParsedRequest>, HeadError>
 /// Reads one head line into `line`; `false` at EOF. Running into the
 /// byte cap before the line (or the head) ends is [`HeadError::TooLarge`].
 fn read_head_line(
-    reader: &mut BufReader<std::io::Take<TcpStream>>,
-    line: &mut String,
+    reader: &mut BufReader<std::io::Take<impl Read>>,
+    line: &mut Vec<u8>,
 ) -> Result<bool, HeadError> {
-    let read = reader.read_line(line)?;
+    let read = reader.read_until(b'\n', line)?;
     let capped = reader.get_ref().limit() == 0;
-    if capped && (read == 0 || !line.ends_with('\n')) {
+    if capped && (read == 0 || !line.ends_with(b"\n")) {
         return Err(HeadError::TooLarge);
     }
     Ok(read > 0)
@@ -1623,3 +1621,6 @@ mod tests {
         bare.shutdown();
     }
 }
+
+#[cfg(test)]
+mod head_fuzz;

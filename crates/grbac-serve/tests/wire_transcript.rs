@@ -300,3 +300,42 @@ fn wire_transcript_is_byte_exact() {
     );
     assert_eq!(actual, expected);
 }
+
+/// One line of 10,000 `[`s — 10 KB, far under the line cap — is
+/// answered like any other bad JSON, and the connection stays open:
+/// the parser's nesting cap keeps the worker thread's stack intact.
+#[test]
+fn deeply_nested_line_is_malformed_and_the_connection_survives() {
+    let service = Arc::new(PolicyService::new(ServiceConfig {
+        workers: 2,
+        ..ServiceConfig::default()
+    }));
+    let server = ServeServer::serve(Arc::clone(&service), "127.0.0.1:0").unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut answer = |line: &str| {
+        stream.write_all(format!("{line}\n").as_bytes()).unwrap();
+        let mut text = String::new();
+        reader.read_line(&mut text).unwrap();
+        text
+    };
+    assert_eq!(
+        answer(&"[".repeat(10_000)),
+        concat!(
+            r#"{"ok":false,"op":null,"error":{"code":"malformed_request","#,
+            r#""message":"invalid JSON: Error { message: \"nesting deeper than 128 levels at offset 128\" }"}}"#,
+            "\n"
+        )
+    );
+    assert_eq!(
+        answer(r#"{"op":"ping"}"#),
+        concat!(
+            r#"{"ok":true,"op":"ping","result":{"protocol":1,"server":"grbac-serve","tenants":0}}"#,
+            "\n"
+        )
+    );
+    server.shutdown();
+}
