@@ -1839,7 +1839,7 @@ fn e16_service_tenancy() -> Vec<Table> {
     use grbac_bench::serveload::{
         parse_rule_id, percentile_us, remove_rule_line, LatencyRecorder, WireLoad,
     };
-    use grbac_serve::{Client, PolicyService, ServeServer, ServiceConfig};
+    use grbac_serve::{Client, PolicyService, ServeServer};
 
     let mut table = Table::new(
         "E16: wire decide p99 per tenant, quiet vs cross-tenant policy churn",
@@ -1859,10 +1859,7 @@ fn e16_service_tenancy() -> Vec<Table> {
     const TENANTS: [&str; 2] = ["a", "b"];
     const CONNS_PER_TENANT: usize = 2;
 
-    let service = Arc::new(PolicyService::new(ServiceConfig {
-        workers: TENANTS.len() * CONNS_PER_TENANT + 2,
-        ..ServiceConfig::default()
-    }));
+    let service = Arc::new(PolicyService::with_defaults());
     for (i, tenant) in TENANTS.iter().enumerate() {
         let system = synthetic_grbac(&SyntheticConfig {
             rules: RULES,
@@ -2069,15 +2066,12 @@ fn e17_tracing_overhead() -> Vec<Table> {
     use std::sync::Arc;
 
     use grbac_bench::serveload::{percentile_us, LatencyRecorder, WireLoad};
-    use grbac_serve::{Client, PolicyService, ServeServer, ServiceConfig};
+    use grbac_serve::{Client, PolicyService, ServeServer};
 
     const RULES: usize = 1_024;
     const CONNS: usize = 2;
 
-    let service = Arc::new(PolicyService::new(ServiceConfig {
-        workers: CONNS + 2,
-        ..ServiceConfig::default()
-    }));
+    let service = Arc::new(PolicyService::with_defaults());
     let system = synthetic_grbac(&SyntheticConfig {
         rules: RULES,
         subject_roles: 32,
@@ -2331,7 +2325,7 @@ fn e18_live_telemetry() -> Vec<Table> {
 
     use grbac_bench::serveload::{LatencyRecorder, WireLoad};
     use grbac_core::telemetry::EventFilter;
-    use grbac_serve::{Client, PolicyService, ServeServer, ServiceConfig};
+    use grbac_serve::{Client, PolicyService, ServeServer};
 
     const RULES: usize = 1_024;
     const CONNS: usize = 2;
@@ -2339,10 +2333,7 @@ fn e18_live_telemetry() -> Vec<Table> {
     /// latency floor the push plane is measured against.
     const SCRAPE_INTERVAL_MS: u64 = 500;
 
-    let service = Arc::new(PolicyService::new(ServiceConfig {
-        workers: CONNS + 3,
-        ..ServiceConfig::default()
-    }));
+    let service = Arc::new(PolicyService::with_defaults());
     let system = synthetic_grbac(&SyntheticConfig {
         rules: RULES,
         subject_roles: 32,

@@ -41,7 +41,7 @@ use grbac_bench::serveload::{
     parse_rule_id, percentile_us, remove_rule_line, LatencyRecorder, WireLoad,
 };
 use grbac_bench::table::Table;
-use grbac_serve::{Client, PolicyService, ServeServer, ServiceConfig};
+use grbac_serve::{Client, PolicyService, ServeServer};
 
 const SUBJECT_ROLES: usize = 32;
 
@@ -70,10 +70,7 @@ fn main() {
     // handle is kept so `--trace` can read the span store afterwards.
     let mut self_service: Option<Arc<PolicyService>> = None;
     let hosted = external.is_none().then(|| {
-        let service = Arc::new(PolicyService::new(ServiceConfig {
-            workers: (tenants * conns + 2).max(4),
-            ..ServiceConfig::default()
-        }));
+        let service = Arc::new(PolicyService::with_defaults());
         for t in 0..tenants {
             let system = synthetic_grbac(&SyntheticConfig {
                 rules,

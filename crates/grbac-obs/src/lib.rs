@@ -4,8 +4,9 @@
 //! with exemplars, the decision flight recorder, and the audit log —
 //! are all in-process data structures. This crate makes them reachable
 //! over the network with **zero external dependencies**: a small
-//! threaded HTTP/1.1 server on std's [`TcpListener`] with a bounded
-//! worker pool and graceful shutdown.
+//! HTTP/1.1 server on std's [`TcpListener`](std::net::TcpListener), with
+//! a thread per connection under one cap and graceful shutdown. Its
+//! connection core, [`net`], also carries `grbac-serve`'s policy service.
 //!
 //! | Route | Body |
 //! |---|---|
@@ -47,10 +48,11 @@
 //! so `Last-Event-ID` reconnects resume exactly where the client left
 //! off) with `: heartbeat` comments while quiet; `/timeseries` answers
 //! windowed rate series for dashboards; `/dashboard` is a single
-//! self-contained HTML page consuming both. A streaming `/events`
-//! connection occupies one worker for its lifetime — size the pool
-//! with [`ObsServer::serve_with_workers`] when you expect several
-//! concurrent watchers.
+//! self-contained HTML page consuming both. Every connection, a
+//! streaming `/events` one included, runs on a thread of its own, so
+//! open streams never delay a scrape. Up to [`net::MAX_CONNECTIONS`]
+//! connections are open at once; past that a new connection gets
+//! `503 Service Unavailable` and is closed.
 //!
 //! ```no_run
 //! use std::sync::{Arc, RwLock};
@@ -72,10 +74,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod net;
+
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -671,6 +674,19 @@ impl Response {
         }
     }
 
+    fn unavailable() -> Self {
+        Self {
+            status: 503,
+            reason: "Service Unavailable",
+            content_type: "text/plain; charset=utf-8",
+            body: format!(
+                "the server already holds {} connections",
+                net::MAX_CONNECTIONS
+            ),
+            allow: None,
+        }
+    }
+
     fn method_not_allowed() -> Self {
         Self {
             status: 405,
@@ -681,7 +697,7 @@ impl Response {
         }
     }
 
-    fn write_to(&self, stream: &mut TcpStream) -> std::io::Result<()> {
+    fn write_to(&self, mut out: impl Write) -> std::io::Result<()> {
         let allow = match self.allow {
             Some(methods) => format!("Allow: {methods}\r\n"),
             None => String::new(),
@@ -694,8 +710,8 @@ impl Response {
             self.body.len(),
             allow,
         );
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(self.body.as_bytes())
+        out.write_all(head.as_bytes())?;
+        out.write_all(self.body.as_bytes())
     }
 }
 
@@ -802,7 +818,7 @@ const SSE_HEARTBEAT_POLLS: u32 = 40;
 /// or the server shuts down.
 fn stream_events(
     obs: &EngineObs,
-    stream: &mut TcpStream,
+    mut stream: &TcpStream,
     query: &str,
     last_event_id: Option<u64>,
     stop: &AtomicBool,
@@ -898,9 +914,9 @@ fn stream_events(
     }
 }
 
-fn handle_connection(obs: &EngineObs, mut stream: TcpStream, stop: &AtomicBool) {
+fn handle_connection(obs: &EngineObs, mut stream: &TcpStream, stop: &AtomicBool) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-    let request = match parse_request(&stream) {
+    let request = match parse_request(stream) {
         Ok(Some(request)) => request,
         Ok(None) => return,
         Err(error) => {
@@ -908,19 +924,13 @@ fn handle_connection(obs: &EngineObs, mut stream: TcpStream, stop: &AtomicBool) 
                 HeadError::TooLarge => Response::head_too_large(),
                 HeadError::Io => Response::bad_request("malformed request"),
             };
-            let _ = response.write_to(&mut stream);
+            let _ = response.write_to(stream);
             let _ = stream.flush();
             return;
         }
     };
     if request.method == "GET" && request.path == "/events" {
-        stream_events(
-            obs,
-            &mut stream,
-            &request.query,
-            request.last_event_id,
-            stop,
-        );
+        stream_events(obs, stream, &request.query, request.last_event_id, stop);
         let _ = stream.flush();
         return;
     }
@@ -929,86 +939,39 @@ fn handle_connection(obs: &EngineObs, mut stream: TcpStream, stop: &AtomicBool) 
     } else {
         Response::method_not_allowed()
     };
-    let _ = response.write_to(&mut stream);
+    let _ = response.write_to(stream);
     let _ = stream.flush();
 }
 
-fn worker(obs: EngineObs, jobs: Arc<Mutex<Receiver<TcpStream>>>, stop: Arc<AtomicBool>) {
-    loop {
-        // Hold the receiver lock only to dequeue, not to serve.
-        let stream = match jobs.lock().expect("job queue lock").recv() {
-            Ok(stream) => stream,
-            Err(_) => return, // acceptor dropped the sender: shutdown
-        };
-        handle_connection(&obs, stream, &stop);
-    }
-}
-
-/// A running observability server: an acceptor thread feeding a
-/// bounded pool of worker threads. Dropping the handle without calling
-/// [`shutdown`](Self::shutdown) leaves the threads serving until the
-/// process exits (detached); shutdown joins them.
+/// A running observability server on the [`net`] connection core.
+/// Dropping the handle without calling [`shutdown`](Self::shutdown)
+/// stops it too: open connections are shut down and the threads finish
+/// on their own; shutdown also joins them.
 #[derive(Debug)]
 pub struct ObsServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    server: net::Server,
     ticker: Option<JoinHandle<()>>,
 }
 
 impl ObsServer {
-    /// How many connections may queue behind busy workers before
-    /// accepts block (bounding memory under scrape storms).
-    pub const QUEUE_DEPTH: usize = 32;
-
     /// Serves `obs` on `addr` (use port 0 for an ephemeral port; the
-    /// bound address is [`addr`](Self::addr)) with
-    /// [`DEFAULT_WORKERS`](Self::DEFAULT_WORKERS) workers.
+    /// bound address is [`addr`](Self::addr)).
     ///
     /// # Errors
     ///
     /// Propagates the bind failure.
     pub fn serve(obs: EngineObs, addr: impl ToSocketAddrs) -> std::io::Result<Self> {
-        Self::serve_with_workers(obs, addr, Self::DEFAULT_WORKERS)
-    }
-
-    /// Worker threads serving requests concurrently; scrapes are
-    /// read-lock-only so a handful is plenty.
-    pub const DEFAULT_WORKERS: usize = 2;
-
-    /// Serves `obs` on `addr` with an explicit worker count (min 1).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the bind failure.
-    pub fn serve_with_workers(
-        obs: EngineObs,
-        addr: impl ToSocketAddrs,
-        workers: usize,
-    ) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let (sender, receiver): (SyncSender<TcpStream>, Receiver<TcpStream>) =
-            sync_channel(Self::QUEUE_DEPTH);
-        let receiver = Arc::new(Mutex::new(receiver));
-
-        let pool: Vec<JoinHandle<()>> = (0..workers.max(1))
-            .map(|_| {
-                let obs = obs.clone();
-                let jobs = Arc::clone(&receiver);
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || worker(obs, jobs, stop))
-            })
-            .collect();
-
+        let mut refusal = Vec::new();
+        Response::unavailable().write_to(&mut refusal)?;
+        let live = obs.live.is_some().then(|| obs.clone());
+        let server = net::Server::serve(addr, refusal, move |stream, _, stop| {
+            handle_connection(&obs, stream, stop);
+        })?;
         // With live telemetry attached, a background ticker keeps the
         // event ring and the metrics history fed even while nobody is
         // watching — so the first dashboard load already has a past.
-        let ticker = obs.live.is_some().then(|| {
-            let obs = obs.clone();
-            let stop = Arc::clone(&stop);
+        let ticker = live.map(|obs| {
+            let stop = server.stop_flag();
             std::thread::spawn(move || {
                 while !stop.load(Ordering::Acquire) {
                     obs.live_tick();
@@ -1016,35 +979,7 @@ impl ObsServer {
                 }
             })
         });
-
-        let acceptor = {
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                for stream in listener.incoming() {
-                    if stop.load(Ordering::Acquire) {
-                        break; // the shutdown self-connect woke us
-                    }
-                    match stream {
-                        Ok(stream) => {
-                            if sender.send(stream).is_err() {
-                                break;
-                            }
-                        }
-                        Err(_) => continue,
-                    }
-                }
-                // Dropping `sender` here disconnects the channel, so
-                // workers drain the queue and exit.
-            })
-        };
-
-        Ok(Self {
-            addr,
-            stop,
-            acceptor: Some(acceptor),
-            workers: pool,
-            ticker,
-        })
+        Ok(Self { server, ticker })
     }
 
     /// How often the live-telemetry ticker wakes (the history scrape
@@ -1055,26 +990,15 @@ impl ObsServer {
     /// The bound address (resolves port 0 to the actual port).
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.server.local_addr()
     }
 
-    /// Stops accepting, drains queued connections, and joins every
-    /// thread. In-flight responses finish; new connections are
+    /// Stops accepting, shuts down open connections, and joins every
+    /// thread. Open `/events` streams end at once; new connections are
     /// refused once the listener closes.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Release);
-        // The acceptor blocks in `incoming()`; a throwaway connection
-        // wakes it so it observes the stop flag.
-        if let Ok(mut wake) = TcpStream::connect(self.addr) {
-            let _ = wake.write_all(b"");
-        }
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-        if let Some(ticker) = self.ticker.take() {
+    pub fn shutdown(self) {
+        self.server.shutdown();
+        if let Some(ticker) = self.ticker {
             let _ = ticker.join();
         }
     }

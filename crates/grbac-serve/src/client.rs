@@ -20,8 +20,9 @@ use serde::Value;
 /// ```
 #[derive(Debug)]
 pub struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    /// The one socket: reads go through the buffer, writes straight to
+    /// the socket underneath it.
+    stream: BufReader<TcpStream>,
 }
 
 impl Client {
@@ -34,10 +35,8 @@ impl Client {
         let stream = TcpStream::connect(addr)?;
         stream.set_read_timeout(Some(Duration::from_secs(30)))?;
         stream.set_nodelay(true)?;
-        let writer = stream.try_clone()?;
         Ok(Self {
-            reader: BufReader::new(stream),
-            writer,
+            stream: BufReader::new(stream),
         })
     }
 
@@ -52,9 +51,11 @@ impl Client {
     pub fn request_line(&mut self, line: &str) -> std::io::Result<String> {
         // One write per request: a line split from its newline costs
         // the server a second wake-up.
-        self.writer.write_all(&[line.as_bytes(), b"\n"].concat())?;
+        self.stream
+            .get_mut()
+            .write_all(&[line.as_bytes(), b"\n"].concat())?;
         let mut response = String::new();
-        let n = self.reader.read_line(&mut response)?;
+        let n = self.stream.read_line(&mut response)?;
         if n == 0 {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
@@ -95,7 +96,7 @@ impl Client {
     ///
     /// Propagates the socket-option failure.
     pub fn set_read_timeout(&mut self, timeout: Option<Duration>) -> std::io::Result<()> {
-        self.writer.set_read_timeout(timeout)
+        self.stream.get_ref().set_read_timeout(timeout)
     }
 
     /// Reads one frame off a streaming connection — either an event
@@ -108,7 +109,7 @@ impl Client {
     /// frame buffered), EOF, or invalid JSON on the line.
     pub fn next_frame(&mut self) -> std::io::Result<Value> {
         let mut line = String::new();
-        let n = self.reader.read_line(&mut line)?;
+        let n = self.stream.read_line(&mut line)?;
         if n == 0 {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
@@ -132,7 +133,9 @@ impl Client {
     ///
     /// Transport failures as in [`Self::next_frame`].
     pub fn unsubscribe(&mut self) -> std::io::Result<(Value, Vec<Value>)> {
-        self.writer.write_all(b"{\"op\":\"unsubscribe\"}\n")?;
+        self.stream
+            .get_mut()
+            .write_all(b"{\"op\":\"unsubscribe\"}\n")?;
         let mut events = Vec::new();
         loop {
             let frame = self.next_frame()?;

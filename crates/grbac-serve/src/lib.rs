@@ -2,8 +2,9 @@
 //!
 //! `grbac-serve` turns the in-process [`grbac_core::Grbac`] engine
 //! into a long-running network service with zero heavy dependencies:
-//! a threaded TCP server (acceptor → bounded channel → worker pool,
-//! the same shape as `grbac-obs`) speaking newline-delimited JSON.
+//! a threaded TCP server (one thread per connection under one cap, on
+//! the connection core `grbac_obs::net` shared with the observability
+//! plane) speaking newline-delimited JSON.
 //! Each tenant gets a fully isolated policy domain — its own engine
 //! behind its own `Arc<RwLock>` with the core's generation-swap index
 //! machinery — so policy churn on one tenant never stalls decides on

@@ -75,6 +75,10 @@ pub enum ErrorCode {
     /// server closes the connection after this error, because line
     /// framing can no longer be trusted.
     LineTooLong,
+    /// The server already holds its maximum number of open connections
+    /// (`grbac_obs::net::MAX_CONNECTIONS`). It is the only line a
+    /// refused connection reads before the server closes it.
+    ConnectionCap,
 }
 
 impl ErrorCode {
@@ -91,6 +95,7 @@ impl ErrorCode {
             Self::UnknownName => "unknown_name",
             Self::Policy => "policy",
             Self::LineTooLong => "line_too_long",
+            Self::ConnectionCap => "connection_cap",
         }
     }
 }

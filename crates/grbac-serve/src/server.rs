@@ -1,22 +1,16 @@
-//! The threaded TCP front end: acceptor thread → bounded channel →
-//! worker pool, the same shape as `grbac_obs::ObsServer`, but speaking
-//! the NDJSON policy protocol instead of HTTP and holding connections
-//! open across many requests.
+//! The NDJSON front end: the policy protocol on the connection core
+//! shared with `grbac_obs::ObsServer`, holding each connection open
+//! across many requests.
 
-use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+use grbac_obs::net::{Server, MAX_CONNECTIONS};
 
 use crate::proto::{err_envelope, ErrorCode, WireError};
 use crate::service::{PolicyService, WireSubscription};
-
-/// Pending connections the acceptor may queue before it blocks.
-const QUEUE_DEPTH: usize = 32;
 
 /// Per-connection read timeout. Generous: clients legitimately idle
 /// between requests, and the shutdown path wakes blocked reads by
@@ -30,10 +24,11 @@ const STREAM_POLL: Duration = Duration::from_millis(25);
 
 /// A running policy service endpoint.
 ///
-/// One worker serves one connection at a time, request by request, so
-/// responses on a connection always come back in request order. Size
-/// [`ServiceConfig::workers`](crate::ServiceConfig) at or above the
-/// expected number of concurrent clients.
+/// Each connection is served on a thread of its own, request by
+/// request, so responses on a connection always come back in request
+/// order. Up to [`MAX_CONNECTIONS`] connections are open at once; past
+/// that a new connection reads one `connection_cap` error line and is
+/// closed.
 ///
 /// ```
 /// use grbac_serve::{Client, PolicyService, ServeServer};
@@ -48,139 +43,40 @@ const STREAM_POLL: Duration = Duration::from_millis(25);
 /// ```
 #[derive(Debug)]
 pub struct ServeServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    live: Live,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    server: Server,
 }
 
-/// The set of connections currently being served, so `shutdown` can
-/// unblock workers parked in a read instead of waiting out the idle
-/// timeout. Entries unregister themselves when the connection ends.
-type Live = Arc<Mutex<HashMap<u64, TcpStream>>>;
-
-/// A connection handed from the acceptor to a worker, stamped at
-/// enqueue time so the dispatch-queue wait can be charged to the
-/// connection's first traced request.
-type Dispatched = (TcpStream, Instant);
-
 impl ServeServer {
-    /// Binds `addr` and starts the acceptor plus the worker pool sized
-    /// by the service's [`ServiceConfig`](crate::ServiceConfig).
+    /// Binds `addr` and starts accepting connections.
     ///
     /// # Errors
     ///
     /// Propagates the bind failure.
     pub fn serve(service: Arc<PolicyService>, addr: impl ToSocketAddrs) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let workers = service.config().workers.max(1);
-        let max_line = service.config().max_line_bytes;
-
-        let live: Live = Arc::new(Mutex::new(HashMap::new()));
-        let next_conn = Arc::new(AtomicU64::new(0));
-        let (tx, rx): (SyncSender<Dispatched>, Receiver<Dispatched>) =
-            std::sync::mpsc::sync_channel(QUEUE_DEPTH);
-        let rx = Arc::new(Mutex::new(rx));
-        let worker_handles: Vec<JoinHandle<()>> = (0..workers)
-            .map(|_| {
-                let service = Arc::clone(&service);
-                let rx = Arc::clone(&rx);
-                let stop = Arc::clone(&stop);
-                let live = Arc::clone(&live);
-                let next_conn = Arc::clone(&next_conn);
-                std::thread::spawn(move || loop {
-                    let stream = {
-                        let guard = rx.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                        guard.recv()
-                    };
-                    match stream {
-                        Ok((stream, enqueued)) => {
-                            if stop.load(Ordering::SeqCst) {
-                                break;
-                            }
-                            let queue_wait_ns = enqueued.elapsed().as_nanos() as u64;
-                            let conn = next_conn.fetch_add(1, Ordering::Relaxed);
-                            if let Ok(clone) = stream.try_clone() {
-                                lock(&live).insert(conn, clone);
-                            }
-                            serve_connection(&service, stream, max_line, queue_wait_ns);
-                            lock(&live).remove(&conn);
-                        }
-                        Err(_) => break,
-                    }
-                })
-            })
-            .collect();
-
-        let acceptor_stop = Arc::clone(&stop);
-        let acceptor = std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                if acceptor_stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                if let Ok(stream) = stream {
-                    if tx.send((stream, Instant::now())).is_err() {
-                        break;
-                    }
-                }
-            }
-            // Dropping `tx` disconnects the channel and releases any
-            // worker blocked in `recv`.
-        });
-
-        Ok(Self {
-            addr,
-            stop,
-            live,
-            acceptor: Some(acceptor),
-            workers: worker_handles,
-        })
+        let error = WireError::new(
+            ErrorCode::ConnectionCap,
+            format!("the server already holds {MAX_CONNECTIONS} connections"),
+        );
+        let mut refusal = String::new();
+        err_envelope(&mut refusal, None, None, &error, None);
+        refusal.push('\n');
+        let server = Server::serve(addr, refusal.into_bytes(), move |stream, accepted, _| {
+            serve_connection(&service, stream, accepted);
+        })?;
+        Ok(Self { server })
     }
 
     /// The bound address (useful after binding port 0).
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.server.local_addr()
     }
 
-    /// Stops accepting, disconnects open connections, and joins every
-    /// thread. A request already being handled finishes and its
-    /// response is written before the connection closes.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // The acceptor blocks in `incoming()`; a throwaway connection
-        // wakes it so it can observe the stop flag.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        // Workers parked in a read on an open connection see EOF
-        // immediately instead of waiting out the idle timeout.
-        for (_, stream) in lock(&self.live).drain() {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
-fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-impl Drop for ServeServer {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
-        for (_, stream) in lock(&self.live).drain() {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        }
+    /// Stops accepting, shuts down every open connection's socket, and
+    /// joins every thread. A request already being handled finishes,
+    /// but its answer cannot reach a socket that is already shut down.
+    pub fn shutdown(self) {
+        self.server.shutdown();
     }
 }
 
@@ -189,29 +85,24 @@ impl Drop for ServeServer {
 /// is written into one response buffer the connection reuses, and
 /// leaves in one write, newline included: on a `TCP_NODELAY` socket a
 /// split frame costs a second segment, and the client wakes on the
-/// first one only to find no newline and block again. The measured
-/// dispatch-queue wait is charged to the first request only; later
-/// requests on the connection never sat in the accept queue.
+/// first one only to find no newline and block again. The wait from
+/// `accepted` until this thread started is charged to the first request
+/// only, as its `queue_wait` span; later requests on the connection
+/// never waited for a thread.
 ///
 /// While the connection holds a live subscription the loop switches to
 /// a short-poll cadence: each [`STREAM_POLL`] read timeout drains the
 /// subscription's rings into NDJSON event frames between request
-/// lines. The connection (and its worker) stays dedicated to the
-/// stream until `unsubscribe` or disconnect; either path drops the
+/// lines. The connection stays dedicated to the stream until
+/// `unsubscribe` or disconnect; either path drops the
 /// [`WireSubscription`], freeing its slot.
-fn serve_connection(
-    service: &PolicyService,
-    stream: TcpStream,
-    max_line: usize,
-    mut queue_wait_ns: u64,
-) {
+fn serve_connection(service: &PolicyService, stream: &TcpStream, accepted: Instant) {
+    let mut queue_wait_ns = accepted.elapsed().as_nanos() as u64;
+    let max_line = service.config().max_line_bytes;
     service.metrics().connections_total.inc();
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => return,
-    };
+    let mut writer = stream;
     let mut reader = BufReader::new(stream);
     let mut subscription: Option<WireSubscription> = None;
     // Partial-line carry: a streaming pump tick may interrupt a read
@@ -296,7 +187,7 @@ fn serve_connection(
 /// writes through one fixed-size buffer, flushed before returning.
 /// Returns false when the client is gone (any write failure), which
 /// ends the connection and drops the subscription.
-fn pump_events(service: &PolicyService, writer: &mut TcpStream, live: &WireSubscription) -> bool {
+fn pump_events(service: &PolicyService, writer: &mut &TcpStream, live: &WireSubscription) -> bool {
     let mut out = BufWriter::new(writer);
     let mut frames = 0;
     for frame in live.drain_frames() {
@@ -338,7 +229,7 @@ enum ReadError {
 /// survive a [`ReadError::Timeout`] in it, so a streaming pump tick
 /// never corrupts framing.
 fn read_line_limited(
-    reader: &mut BufReader<TcpStream>,
+    reader: &mut BufReader<&TcpStream>,
     max: usize,
     line: &mut Vec<u8>,
 ) -> Result<bool, ReadError> {
@@ -545,14 +436,8 @@ mod tests {
     }
 
     #[test]
-    fn killed_subscriber_frees_its_worker_slot() {
-        // One worker: if the dead subscriber's worker were not
-        // reclaimed, the follow-up client could never be served.
-        let service = Arc::new(PolicyService::new(crate::ServiceConfig {
-            workers: 1,
-            ..crate::ServiceConfig::default()
-        }));
-        service.create_tenant("t").unwrap();
+    fn killed_subscriber_drops_its_subscription() {
+        let service = service_with_tenant();
         let server = ServeServer::serve(Arc::clone(&service), "127.0.0.1:0").unwrap();
         let mut watcher = Client::connect(server.local_addr()).unwrap();
         let sub = watcher
@@ -562,12 +447,14 @@ mod tests {
         assert_eq!(service.active_subscriptions(), 1);
         drop(watcher); // kill the stream mid-subscription
 
-        // The worker notices EOF on its next poll tick, drops the
-        // subscription, and picks up the queued connection.
-        let mut next = Client::connect(server.local_addr()).unwrap();
-        let pong = next.request_line(r#"{"op":"ping"}"#).unwrap();
-        assert!(pong.contains("\"ok\":true"), "{pong}");
+        // The connection's thread notices EOF on its next poll tick and
+        // drops the subscription with the connection.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while service.active_subscriptions() > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
         assert_eq!(service.active_subscriptions(), 0);
+        let mut next = Client::connect(server.local_addr()).unwrap();
         let status = next
             .request_line(r#"{"op":"status","tenant":"t"}"#)
             .unwrap();

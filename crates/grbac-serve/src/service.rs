@@ -44,10 +44,6 @@ pub struct ServiceConfig {
     /// Maximum request-line length in bytes; overlong lines answer
     /// `line_too_long` and close the connection.
     pub max_line_bytes: usize,
-    /// Worker threads in the connection pool. One worker serves one
-    /// connection at a time, so size this at or above the expected
-    /// number of concurrent clients.
-    pub workers: usize,
 }
 
 impl Default for ServiceConfig {
@@ -55,7 +51,6 @@ impl Default for ServiceConfig {
         Self {
             max_tenants: 64,
             max_line_bytes: 1 << 20,
-            workers: 8,
         }
     }
 }
@@ -130,7 +125,7 @@ impl ServiceMetrics {
 /// One connection's live wire subscription: a core
 /// [`EventSubscription`] per selected tenant bus, merged into one
 /// frame stream. Created by the `subscribe` op, held by the
-/// connection's worker, and torn down by `unsubscribe` or the
+/// connection's thread, and torn down by `unsubscribe` or the
 /// connection closing — either way the [`Drop`] impl decrements the
 /// service's active-subscription count, so a killed client can never
 /// leak a slot.
@@ -259,8 +254,8 @@ impl RequestSpans {
 
     /// Opens the server span (child of `parent` when the client
     /// propagated one) plus the dispatch-queue child, backdated by
-    /// `queue_wait_ns` so the tree shows time spent before any worker
-    /// looked at the connection.
+    /// `queue_wait_ns` so the tree shows time spent before the
+    /// connection's thread started.
     fn open(
         op: &str,
         trace_id: TraceId,
@@ -475,10 +470,10 @@ impl PolicyService {
     }
 
     /// [`handle_line`](Self::handle_line) with a known dispatch-queue
-    /// wait: the time between the acceptor enqueuing the connection and
-    /// a worker picking it up, charged to the connection's first
-    /// request as its `queue_wait` child span (later requests on the
-    /// connection pass 0 — they never waited in the accept queue).
+    /// wait: the time between the acceptor accepting the connection and
+    /// the connection's thread starting, charged to the connection's
+    /// first request as its `queue_wait` child span (later requests on
+    /// the connection pass 0 — they never waited for a thread).
     #[must_use]
     pub fn handle_line_queued(&self, line: &str, queue_wait_ns: u64) -> String {
         let mut response = String::with_capacity(RESPONSE_CAPACITY);

@@ -581,7 +581,7 @@ fn json_shaped_requests_reach_every_layer() {
 #[test]
 fn the_documented_codes_are_the_protocol_codes() {
     let codes = documented_codes();
-    assert_eq!(codes.len(), 9, "{codes:?}");
+    assert_eq!(codes.len(), 10, "{codes:?}");
     for code in [
         grbac_serve::ErrorCode::MalformedRequest,
         grbac_serve::ErrorCode::UnknownOp,
@@ -592,6 +592,7 @@ fn the_documented_codes_are_the_protocol_codes() {
         grbac_serve::ErrorCode::UnknownName,
         grbac_serve::ErrorCode::Policy,
         grbac_serve::ErrorCode::LineTooLong,
+        grbac_serve::ErrorCode::ConnectionCap,
     ] {
         assert!(codes.iter().any(|c| c == code.as_str()), "{code:?}");
     }

@@ -228,7 +228,6 @@ fn transcript() -> String {
     let service = Arc::new(PolicyService::new(ServiceConfig {
         max_tenants: 3,
         max_line_bytes: 2048,
-        workers: 2,
     }));
     let server = ServeServer::serve(Arc::clone(&service), "127.0.0.1:0").unwrap();
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
@@ -303,13 +302,10 @@ fn wire_transcript_is_byte_exact() {
 
 /// One line of 10,000 `[`s — 10 KB, far under the line cap — is
 /// answered like any other bad JSON, and the connection stays open:
-/// the parser's nesting cap keeps the worker thread's stack intact.
+/// the parser's nesting cap keeps the connection thread's stack intact.
 #[test]
 fn deeply_nested_line_is_malformed_and_the_connection_survives() {
-    let service = Arc::new(PolicyService::new(ServiceConfig {
-        workers: 2,
-        ..ServiceConfig::default()
-    }));
+    let service = Arc::new(PolicyService::with_defaults());
     let server = ServeServer::serve(Arc::clone(&service), "127.0.0.1:0").unwrap();
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
     stream
