@@ -162,11 +162,28 @@ impl std::fmt::Display for Confidence {
 /// evidence. Holds an optional identity claim and any number of direct
 /// role-membership claims — the paper's key insight is that the role
 /// claims may carry *higher* confidence than the identity claim.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct AuthContext {
     identity: Option<(SubjectId, Confidence)>,
     #[serde(with = "crate::serde_pairs::hash")]
     roles: HashMap<RoleId, Confidence>,
+}
+
+impl Clone for AuthContext {
+    fn clone(&self) -> Self {
+        Self {
+            identity: self.identity,
+            roles: self.roles.clone(),
+        }
+    }
+
+    /// Copies `source` into this context's claim map, keeping its
+    /// storage when it is large enough (the flight recorder copies
+    /// each sensed requester into the record it evicts).
+    fn clone_from(&mut self, source: &Self) {
+        self.identity = source.identity;
+        self.roles.clone_from(&source.roles);
+    }
 }
 
 impl AuthContext {

@@ -49,8 +49,9 @@
 //! ```
 
 use std::borrow::Cow;
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
@@ -70,7 +71,7 @@ use crate::id::{
 };
 use crate::index::{Advance, CachedExpansion, CompiledIndex, IndexCell};
 use crate::precedence::ConflictStrategy;
-use crate::provenance::{env_fingerprint, FlightRecorder, ProvenanceRecord};
+use crate::provenance::{env_fingerprint, FlightRecorder};
 use crate::role::{RoleCatalog, RoleKind};
 use crate::rule::{Effect, RoleSpec, Rule, RuleDef, TransactionSpec};
 use crate::session::SessionManager;
@@ -80,7 +81,7 @@ use crate::telemetry::{
 };
 
 /// Who is asking: the three authentication postures GRBAC supports.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub enum Actor {
     /// An open session; only the session's *active* roles apply
     /// (role activation, §4.1.2), all at full confidence.
@@ -91,6 +92,25 @@ pub enum Actor {
     /// A sensor-authenticated requester (§5.2): roles and confidences
     /// come from the [`AuthContext`] built by the authenticator.
     Sensed(AuthContext),
+}
+
+impl Clone for Actor {
+    fn clone(&self) -> Self {
+        match self {
+            Actor::Session(session) => Actor::Session(*session),
+            Actor::Subject(subject) => Actor::Subject(*subject),
+            Actor::Sensed(context) => Actor::Sensed(context.clone()),
+        }
+    }
+
+    /// Reuses a sensed actor's claim storage when both sides are
+    /// sensed.
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (Actor::Sensed(context), Actor::Sensed(from)) => context.clone_from(from),
+            (this, source) => *this = source.clone(),
+        }
+    }
 }
 
 /// One access request, ready for mediation.
@@ -230,6 +250,10 @@ pub struct Grbac {
     /// `EnvironmentRoleProvider::attach_metrics`.
     #[serde(skip)]
     metrics: Arc<MetricsRegistry>,
+    /// Each rule's slot in the registry's rule-heat table, in policy
+    /// order (operational state — never serialized; see [`HeatSlots`]).
+    #[serde(skip)]
+    heat_slots: HeatSlots,
     /// Decision flight recorder (operational state — never serialized;
     /// a deserialized engine starts with an empty ring). Shared by
     /// engine clones and `decide_batch` workers like the registry.
@@ -274,6 +298,7 @@ impl Grbac {
             deltas: DeltaLog::default(),
             index: IndexCell::default(),
             metrics: Arc::new(MetricsRegistry::new()),
+            heat_slots: HeatSlots::default(),
             recorder: Arc::new(FlightRecorder::new()),
             decision_ids: Arc::new(DecisionIdMint::new()),
         }
@@ -295,13 +320,15 @@ impl Grbac {
     fn compiled(&self) -> Arc<CompiledIndex> {
         self.index
             .get_or_advance(self.generation, &self.metrics, |stale| {
-                // Any install — patch or rebuild — is exactly when the
-                // rule-id ceiling can have moved: pre-size the heat
-                // table so steady-state decisions never widen it under
-                // a write lock.
-                self.metrics
-                    .rule_heat
-                    .reserve(self.rule_alloc.peek() as usize);
+                // Claim the heat slots before a first build, so the 1 MB
+                // of heat tables is allocated ahead of the index. Claimed
+                // after it, in a process that had dropped an engine
+                // before, a new engine's first decide stayed ~0.6 ms
+                // slower at 4096 rules: the freed tables had been handed
+                // back to the OS and were faulted in again.
+                if self.metrics.rule_heat.is_enabled() {
+                    self.heat_slots();
+                }
                 if let Some((built_for, index)) = stale {
                     if let Some(deltas) = self.deltas.entries_between(built_for, self.generation) {
                         if let Some(next) =
@@ -320,6 +347,15 @@ impl Grbac {
                     &self.rules,
                 ))
             })
+    }
+
+    /// Each rule's heat slot in policy order, claimed for every rule on
+    /// first use (see [`HeatSlots`]).
+    fn heat_slots(&self) -> &[u32] {
+        self.heat_slots.0.get_or_init(|| {
+            let rules = self.rules.iter().map(|rule| rule.id().as_raw());
+            self.metrics.rule_heat.claim_all(rules)
+        })
     }
 
     /// Forces the next mediation to rebuild the compiled index from
@@ -665,12 +701,9 @@ impl Grbac {
             self.entities.transaction(t)?;
         }
         let id = RuleId::from_raw(self.rule_alloc.next());
-        // Grow the heat table's allocation with the id ceiling here,
-        // at the edit, so the next decide's index install never
-        // reallocates it.
-        self.metrics
-            .rule_heat
-            .reserve_room(self.rule_alloc.peek() as usize);
+        if let Some(slots) = self.heat_slots.0.get_mut() {
+            slots.push(self.metrics.rule_heat.claim(id.as_raw()));
+        }
         self.rules.push(Rule::from_def(id, def));
         let position = (self.rules.len() - 1) as u32;
         let delta = self.rules[position as usize].added_delta(position);
@@ -684,6 +717,9 @@ impl Grbac {
             return false;
         };
         self.rules.remove(position);
+        if let Some(slots) = self.heat_slots.0.get_mut() {
+            self.metrics.rule_heat.release(slots.remove(position));
+        }
         self.touch(PolicyDelta::RuleRemoved {
             position: position as u32,
         });
@@ -859,14 +895,16 @@ impl Grbac {
     /// registry are left behind, not transferred.
     pub fn set_metrics(&mut self, metrics: Arc<MetricsRegistry>) {
         self.metrics = metrics;
+        self.heat_slots = HeatSlots::default();
     }
 
     /// The decision flight recorder: every mediated decision
     /// ([`decide`](Self::decide), [`decide_traced`](Self::decide_traced),
     /// [`decide_batch`](Self::decide_batch), and the [`check`](Self::check)
     /// family on top of them) appends a
-    /// [`ProvenanceRecord`] here. Engine clones and batch workers share
-    /// the same ring. The reference path
+    /// [`ProvenanceRecord`](crate::provenance::ProvenanceRecord) here.
+    /// Engine clones and batch workers share the same ring. The
+    /// reference path
     /// ([`decide_naive`](Self::decide_naive)) never records, so
     /// forensic replays do not pollute the evidence they examine.
     #[must_use]
@@ -886,9 +924,10 @@ impl Grbac {
 
     /// The current policy generation: bumped by every
     /// decision-relevant mutation (roles, hierarchy edges, assignments,
-    /// rules). Stamped into every [`ProvenanceRecord`] so forensic
-    /// replay can tell whether the policy moved under a recorded
-    /// decision.
+    /// rules). Stamped into every
+    /// [`ProvenanceRecord`](crate::provenance::ProvenanceRecord) so
+    /// forensic replay can tell whether the policy moved under a
+    /// recorded decision.
     #[must_use]
     pub fn policy_generation(&self) -> u64 {
         self.generation
@@ -1111,27 +1150,32 @@ impl Grbac {
             }
             nanos
         });
-        self.recorder.record(ProvenanceRecord {
-            // seq / writer / writer_seq are assigned by the recorder.
-            seq: 0,
-            writer: 0,
-            writer_seq: 0,
-            decision_id: decision.decision_id(),
-            actor: request.actor.clone(),
-            transaction: request.transaction,
-            object: request.object,
-            timestamp: request.timestamp,
-            env_roles: request.environment.active().iter().copied().collect(),
-            env_hash: env_fingerprint(&request.environment),
-            env_health: request.env_health,
-            generation: self.generation,
-            effect: decision.effect(),
-            winning_rule: decision.winning_rule(),
-            matched_rules: explanation.matched.iter().map(|m| m.rule).collect(),
-            subject_role_count: u32::try_from(explanation.subject_roles.len()).unwrap_or(u32::MAX),
-            degraded: decision.degraded().copied(),
-            stage_nanos,
-            total_nanos: trace.map(|trace| trace.total_nanos),
+        // The record is written into the slot it evicts: its actor and
+        // its two buffers keep their storage.
+        self.recorder.record_with(|record| {
+            record.decision_id = decision.decision_id();
+            record.actor.clone_from(&request.actor);
+            record.transaction = request.transaction;
+            record.object = request.object;
+            record.timestamp = request.timestamp;
+            record.env_roles.clear();
+            record
+                .env_roles
+                .extend(request.environment.active().iter().copied());
+            record.env_hash = env_fingerprint(&request.environment);
+            record.env_health = request.env_health;
+            record.generation = self.generation;
+            record.effect = decision.effect();
+            record.winning_rule = decision.winning_rule();
+            record.matched_rules.clear();
+            record
+                .matched_rules
+                .extend(explanation.matched.iter().map(|m| m.rule));
+            record.subject_role_count =
+                u32::try_from(explanation.subject_roles.len()).unwrap_or(u32::MAX);
+            record.degraded = decision.degraded().copied();
+            record.stage_nanos = stage_nanos;
+            record.total_nanos = trace.map(|trace| trace.total_nanos);
         });
     }
 
@@ -1160,16 +1204,20 @@ impl Grbac {
                     request.transaction.as_raw(),
                     decision.explanation().matched.len() as u64,
                 );
-                self.metrics.rule_heat.record_decision(
-                    decision
-                        .explanation()
-                        .matched
+                let heat = &self.metrics.rule_heat;
+                if heat.is_enabled() {
+                    let slots = self.heat_slots();
+                    let matched = &decision.explanation().matched;
+                    let winner = matched
                         .iter()
-                        .map(|m| m.rule.as_raw()),
-                    decision.winning_rule().map(RuleId::as_raw),
-                    decision.effect() == Effect::Permit,
-                    self.generation,
-                );
+                        .find(|m| Some(m.rule) == decision.winning_rule());
+                    heat.record_slots(
+                        matched.iter().map(|m| slots[m.position]),
+                        winner.map(|m| slots[m.position]),
+                        decision.effect() == Effect::Permit,
+                        self.generation,
+                    );
+                }
                 if let Some(reason) = decision.degraded() {
                     self.metrics.decisions_degraded.inc();
                     if let DegradedReason::StaleRolesDropped { dropped, .. } = reason {
@@ -1317,82 +1365,86 @@ impl Grbac {
         let (effective_env, decay, degraded_reason) = self.degraded_env(request);
         let environment = index
             .closures
-            .expand(effective_env.active().iter().copied());
+            .expand_set(effective_env.active().iter().copied());
         self.metrics.closure_cache_misses.inc();
         sink.exit(
             Stage::EnvironmentEvaluation,
             span,
             if S::ACTIVE {
-                environment.expanded.len() as u64
+                environment.len() as u64
             } else {
                 0
             },
         );
 
-        // 3. Match candidate rules in policy order: those the rule
-        //    postings admit for the request's transaction, the
-        //    requester's roles and the object's roles.
+        // 3. Match candidate rules in policy order: those the closure
+        //    postings of the request's transaction, the requester's
+        //    direct roles and the object's direct roles admit.
         let span = sink.enter(Stage::CandidateMerge);
-        let candidates = index.rules.candidates(
-            request.transaction,
-            subject.roles(),
-            object.expanded.iter().copied(),
-        );
-        let mut candidate_count = 0u64;
-        let mut matched = Vec::new();
         let mut confidence_near_miss: Option<(Confidence, Confidence)> = None;
-        for position in candidates {
-            candidate_count += 1;
-            let rule = &self.rules[position];
-            let object_distance = match rule.object_role() {
-                RoleSpec::Any => usize::MAX,
-                RoleSpec::Is(ro) => {
-                    if !object.contains(ro) {
-                        continue;
-                    }
-                    index.closures.min_distance(&object.direct, ro)
-                }
-            };
-            if !rule
-                .environment_roles()
-                .iter()
-                .all(|&role| environment.contains(role))
-            {
-                continue;
-            }
-            let (subject_distance, subject_confidence) = match rule.subject_role() {
-                RoleSpec::Any => (usize::MAX, Confidence::FULL),
-                RoleSpec::Is(rs) => {
-                    let Some(confidence) = subject.confidence(rs) else {
-                        continue;
-                    };
-                    let confidence = confidence.scale(decay);
-                    let distance = index.closures.min_distance(subject.direct(), rs);
-                    if rule.effect() == Effect::Permit {
-                        let required = rule.min_confidence().unwrap_or(self.default_min_confidence);
-                        if !confidence.meets(required) {
-                            // Track the closest miss for the explanation.
-                            let better = confidence_near_miss
-                                .is_none_or(|(_, achieved)| confidence > achieved);
-                            if better {
-                                confidence_near_miss = Some((required, confidence));
-                            }
+        let (candidate_count, matched) = with_scratch(|DecideScratch { rows, matched }| {
+            let mut candidate_count = 0u64;
+            let candidates =
+                index
+                    .rules
+                    .candidates(request.transaction, subject.direct(), &object.direct, rows);
+            for position in candidates {
+                candidate_count += 1;
+                let rule = &self.rules[position];
+                let object_distance = match rule.object_role() {
+                    RoleSpec::Any => usize::MAX,
+                    RoleSpec::Is(ro) => {
+                        if !object.contains(ro) {
                             continue;
                         }
+                        index.closures.min_distance(&object.direct, ro)
                     }
-                    (distance, confidence)
+                };
+                if !rule
+                    .environment_roles()
+                    .iter()
+                    .all(|role| environment.contains(role))
+                {
+                    continue;
                 }
-            };
-            matched.push(MatchedRule {
-                rule: rule.id(),
-                effect: rule.effect(),
-                position,
-                subject_confidence,
-                subject_distance,
-                object_distance,
-                constraint_count: rule.constraint_count(),
-            });
-        }
+                let (subject_distance, subject_confidence) = match rule.subject_role() {
+                    RoleSpec::Any => (usize::MAX, Confidence::FULL),
+                    RoleSpec::Is(rs) => {
+                        let Some(confidence) = subject.confidence(rs) else {
+                            continue;
+                        };
+                        let confidence = confidence.scale(decay);
+                        let distance = index.closures.min_distance(subject.direct(), rs);
+                        if rule.effect() == Effect::Permit {
+                            let required =
+                                rule.min_confidence().unwrap_or(self.default_min_confidence);
+                            if !confidence.meets(required) {
+                                // Track the closest miss for the explanation.
+                                let better = confidence_near_miss
+                                    .is_none_or(|(_, achieved)| confidence > achieved);
+                                if better {
+                                    confidence_near_miss = Some((required, confidence));
+                                }
+                                continue;
+                            }
+                        }
+                        (distance, confidence)
+                    }
+                };
+                matched.push(MatchedRule {
+                    rule: rule.id(),
+                    effect: rule.effect(),
+                    position,
+                    subject_confidence,
+                    subject_distance,
+                    object_distance,
+                    constraint_count: rule.constraint_count(),
+                });
+            }
+            // The decision keeps an exact-size copy; the buffer stays
+            // with the thread for the next decide.
+            (candidate_count, matched.to_vec())
+        });
         sink.exit(Stage::CandidateMerge, span, candidate_count);
 
         // 4. Resolve conflicts and build the decision, reusing the
@@ -1415,7 +1467,7 @@ impl Grbac {
             Explanation {
                 subject_roles: subject.into_roles(),
                 object_roles: object.expanded.clone(),
-                environment_roles: environment.expanded,
+                environment_roles: environment,
                 matched,
                 winner: winner_id,
                 reason,
@@ -1772,6 +1824,54 @@ impl Grbac {
     }
 }
 
+/// Each rule's slot in the rule-heat table of the engine's registry,
+/// in policy order. Claimed for every rule at the first heat-recording
+/// decide after the engine is built, deserialized, cloned or given a
+/// new registry, then kept in step by `add_rule` (claim) and
+/// `remove_rule` (release). A clone shares the registry but claims
+/// slots of its own, so removing a rule from one never frees a slot
+/// another still records into; the table sums them per rule id.
+#[derive(Debug, Default)]
+struct HeatSlots(OnceLock<Vec<u32>>);
+
+impl Clone for HeatSlots {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+/// Buffers a decide reuses from the one before it on the same thread,
+/// so a steady-state candidate walk allocates nothing.
+#[derive(Default)]
+struct DecideScratch {
+    /// Posting rows for request sides that hold several direct roles.
+    rows: Vec<u64>,
+    /// The matched rules, copied into the decision at one allocation
+    /// of the exact size.
+    matched: Vec<MatchedRule>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<DecideScratch> = const {
+        RefCell::new(DecideScratch {
+            rows: Vec::new(),
+            matched: Vec::new(),
+        })
+    };
+}
+
+/// Runs `f` with this thread's scratch, its matched list emptied, or
+/// with fresh scratch if `f` runs inside another decide on the thread.
+fn with_scratch<R>(f: impl FnOnce(&mut DecideScratch) -> R) -> R {
+    SCRATCH.with(|scratch| match scratch.try_borrow_mut() {
+        Ok(mut scratch) => {
+            scratch.matched.clear();
+            f(&mut scratch)
+        }
+        Err(_) => f(&mut DecideScratch::default()),
+    })
+}
+
 fn upgrade(conf: &mut BTreeMap<RoleId, Confidence>, role: RoleId, confidence: Confidence) {
     conf.entry(role)
         .and_modify(|c| *c = (*c).max(confidence))
@@ -1805,27 +1905,16 @@ impl SubjectView<'_> {
         }
     }
 
-    /// The direct (unexpanded) role set, for specificity distances.
+    /// The direct (unexpanded) role set, for specificity distances and
+    /// the candidate walk. For a sensed actor these are the identity's
+    /// roles and the claimed roles, whose closures are every role with
+    /// a confidence, including those below a rule's threshold, so
+    /// confidence near-misses are still found.
     fn direct(&self) -> &BTreeSet<RoleId> {
         match self {
             SubjectView::Full(expansion) => &expansion.direct,
             SubjectView::Mixed { direct, .. } => direct,
         }
-    }
-
-    /// The expanded roles the requester holds: for a sensed actor,
-    /// every role with a confidence, including those below a rule's
-    /// threshold, so confidence near-misses are still found.
-    fn roles(&self) -> impl Iterator<Item = RoleId> + '_ {
-        let (expanded, conf) = match self {
-            SubjectView::Full(expansion) => (Some(&expansion.expanded), None),
-            SubjectView::Mixed { conf, .. } => (None, Some(conf)),
-        };
-        expanded
-            .into_iter()
-            .flatten()
-            .chain(conf.into_iter().flat_map(BTreeMap::keys))
-            .copied()
     }
 
     /// Number of expanded roles the requester holds (trace item count).
@@ -1934,6 +2023,51 @@ mod tests {
             .unwrap();
         assert!(!d.is_permitted());
         assert_eq!(d.explanation().reason, Reason::DefaultDecision);
+    }
+
+    #[test]
+    fn records_written_into_evicted_slots_hold_only_their_own_decision() {
+        let (mut g, f) = section51();
+        g.add_rule(
+            RuleDef::deny()
+                .subject_role(f.parent)
+                .object_role(f.entertainment)
+                .transaction(f.use_t),
+        )
+        .unwrap();
+        g.set_flight_recorder_capacity(2);
+        let envs = [
+            vec![f.weekdays, f.free_time],
+            vec![f.weekdays],
+            vec![],
+            vec![f.free_time, f.weekdays],
+            vec![f.free_time],
+        ];
+        // Past the first two decides every record reuses an evicted one.
+        for (i, env) in envs.iter().cycle().take(12).enumerate() {
+            let who = if i % 3 == 0 { f.mom } else { f.bobby };
+            let request = AccessRequest::by_subject(
+                who,
+                f.use_t,
+                f.tv,
+                EnvironmentSnapshot::from_active(env.iter().copied()),
+            );
+            let decision = g.decide(&request).unwrap();
+            let record = g.flight_recorder().latest(1).remove(0);
+            assert_eq!(record.actor, request.actor);
+            let active: Vec<RoleId> = request.environment.active().iter().copied().collect();
+            assert_eq!(record.env_roles, active);
+            let matched: Vec<RuleId> = decision
+                .explanation()
+                .matched
+                .iter()
+                .map(|m| m.rule)
+                .collect();
+            assert_eq!(record.matched_rules, matched);
+            assert_eq!(record.winning_rule, decision.winning_rule());
+            assert_eq!(record.decision_id, decision.decision_id());
+        }
+        assert_eq!(g.flight_recorder().dropped(), 10);
     }
 
     #[test]

@@ -252,12 +252,6 @@ impl IdAllocator {
         self.next += 1;
         id
     }
-
-    /// The id the next call to [`Self::next`] will hand out — i.e. the
-    /// current ceiling of the dense id space (ids are never reused).
-    pub(crate) fn peek(&self) -> u64 {
-        self.next
-    }
 }
 
 #[cfg(test)]

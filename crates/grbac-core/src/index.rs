@@ -17,10 +17,14 @@
 //!   answer [`distance_up`](crate::hierarchy::RoleHierarchy::distance_up)
 //!   queries by binary search instead of BFS;
 //! * [`RuleIndex`] — rule postings, bitsets over policy positions: a
-//!   row per role (the rules naming it as subject or object role), per
-//!   transaction, and per `Any` wildcard. A request's candidates are
-//!   the intersection of its transaction's, its requester's and its
-//!   object's rows, walked in ascending position so conflict
+//!   *closure* row per role (the rules naming that role, or a role it
+//!   specializes, as subject or object role), a row per transaction,
+//!   and a row per `Any` wildcard. Because a role's row already holds
+//!   what its generalizations are authorized for, a request's
+//!   candidates are one fused word-by-word AND of its transaction's
+//!   rows and the rows of its *direct* subject and object roles —
+//!   [`RuleIndex::candidates`], with no per-request union over the
+//!   expanded roles — walked in ascending position so conflict
 //!   resolution sees the same sequence the naive scan produces;
 //! * [`CachedExpansion`] — hierarchy-expanded role sets (as both
 //!   `BTreeSet` and bitset) for every assigned subject and object.
@@ -44,11 +48,15 @@
 //! `Arc<CompiledIndex>` inside the cell, so in-flight decides keep
 //! their old snapshot and never observe a torn shard. Edge inserts
 //! frontier-propagate (the edge's lower endpoint plus all its
-//! specializations recompute their closure rows); past a damage
-//! threshold — or when the dense role space outgrows its bitset word
-//! budget — the planner falls back to a full rebuild. Rule edits patch
-//! the postings in one buffer copy, whose row width follows the rule
-//! count across multiples of 64.
+//! specializations recompute their closure rows, and OR their
+//! postings rows over their new closures, copying the postings only
+//! when that adds a posting); past a damage threshold —
+//! or when the dense role space outgrows its bitset word budget — the
+//! planner falls back to a full rebuild. Rule edits patch the postings
+//! in one buffer copy, whose row width follows the rule count across
+//! multiples of 64: an add sets its bit in the rows of the roles it
+//! names and of their specializations, a remove shifts its bit out of
+//! every row.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::{Arc, RwLock};
@@ -226,6 +234,32 @@ impl RoleClosures {
             .unwrap_or(usize::MAX)
     }
 
+    /// Raw ids of the declared roles whose closure holds `general`:
+    /// the role itself and every role that specializes it. One bit
+    /// test per declared role.
+    fn specializations(&self, general: RoleId) -> impl Iterator<Item = usize> + '_ {
+        let raw = general.as_raw() as usize;
+        let declared = if self.is_declared(general) {
+            self.role_count
+        } else {
+            0
+        };
+        (0..declared).filter(move |&role| {
+            self.closure_bits[role * self.words + raw / 64] & (1 << (raw % 64)) != 0
+        })
+    }
+
+    /// Hierarchy-expands `roles` into a sorted set only, skipping
+    /// undeclared ids: the per-request environment expansion, which
+    /// needs neither the direct set nor a bitset.
+    pub(crate) fn expand_set(&self, roles: impl IntoIterator<Item = RoleId>) -> BTreeSet<RoleId> {
+        let mut expanded = BTreeSet::new();
+        for role in roles {
+            expanded.extend(self.closure_members(role));
+        }
+        expanded
+    }
+
     /// Hierarchy-expands `roles` into a sorted set and a bitset,
     /// skipping undeclared ids exactly like
     /// [`RoleCatalog::expand`](crate::role::RoleCatalog::expand).
@@ -299,11 +333,13 @@ const FIRST_ROLE: usize = 3;
 /// the request can meet.
 ///
 /// Bit `p` of a row stands for the rule at policy position `p`. There
-/// is one row per dense role id (the rules naming that role as their
-/// subject or object role), one wildcard row each for subject, object
-/// and transaction `Any`, and one row per transaction up to the
-/// highest raw transaction id a rule names. The rows live in one flat
-/// row-major buffer of `⌈rules / 64⌉` words per row.
+/// is one *closure* row per dense role id: the rules whose subject or
+/// object role is that role or a role it specializes, so a holder of
+/// the role meets every rule in its row. There is one wildcard row each
+/// for subject, object and transaction `Any`, and one row per
+/// transaction up to the highest raw transaction id a rule names. The
+/// rows live in one flat row-major buffer of `⌈rules / 64⌉` words per
+/// row.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct RuleIndex {
     /// Rules covered: the policy length.
@@ -321,7 +357,10 @@ pub(crate) struct RuleIndex {
 }
 
 impl RuleIndex {
-    fn build(rules: &[Rule], roles: usize) -> Self {
+    /// The postings of `rules` over the dense role space of `closures`:
+    /// each rule's bit goes into the rows of the roles it names, then
+    /// every role row takes in the rows of its closure.
+    fn build(rules: &[Rule], closures: &RoleClosures) -> Self {
         let transactions = rules
             .iter()
             .filter_map(|rule| rule.transaction().transaction())
@@ -329,6 +368,7 @@ impl RuleIndex {
             .max()
             .unwrap_or(0);
         let words = rules.len().div_ceil(64);
+        let roles = closures.role_count();
         let mut index = Self {
             len: rules.len(),
             words,
@@ -337,12 +377,17 @@ impl RuleIndex {
             rows: vec![0; (FIRST_ROLE + roles + transactions) * words],
         };
         for (position, rule) in rules.iter().enumerate() {
-            index.insert(
-                position,
-                rule.subject_role(),
-                rule.object_role(),
-                rule.transaction(),
-            );
+            let rows = [
+                index.role_row(rule.subject_role(), SUBJECT_ANY),
+                index.role_row(rule.object_role(), OBJECT_ANY),
+                index.transaction_row(rule.transaction()),
+            ];
+            for row in rows.into_iter().flatten() {
+                index.set(row, position);
+            }
+        }
+        for role in 0..roles {
+            index.close_row(role, closures);
         }
         index
     }
@@ -353,6 +398,10 @@ impl RuleIndex {
 
     fn row(&self, row: usize) -> &[u64] {
         &self.rows[row * self.words..(row + 1) * self.words]
+    }
+
+    fn set(&mut self, row: usize, position: usize) {
+        self.rows[row * self.words + position / 64] |= 1 << (position % 64);
     }
 
     /// The row of a subject or object spec; `any` is the side's
@@ -379,38 +428,67 @@ impl RuleIndex {
         }
     }
 
-    /// Marks the rule at `position` in the rows its specs name. A rule
-    /// naming a role outside the dense role space gets no bit on that
-    /// side: no requester or object can hold such a role, so the rule
-    /// can never apply.
-    fn insert(
-        &mut self,
-        position: usize,
-        subject: RoleSpec,
-        object: RoleSpec,
-        transaction: TransactionSpec,
-    ) {
-        let rows = [
-            self.role_row(subject, SUBJECT_ANY),
-            self.role_row(object, OBJECT_ANY),
-            self.transaction_row(transaction),
-        ];
-        for row in rows.into_iter().flatten() {
-            self.rows[row * self.words + position / 64] |= 1 << (position % 64);
+    /// ORs into role `raw`'s row the rows of every role in its closure.
+    /// When each row holds at least its own role's postings and at most
+    /// its closure's, this leaves the row exactly the closure row,
+    /// whichever rows were closed before it. Hierarchies only gain
+    /// edges, so rows patched under an older closure stay within that
+    /// bound.
+    fn close_row(&mut self, raw: usize, closures: &RoleClosures) {
+        let target = (FIRST_ROLE + raw) * self.words;
+        for general in closures.closure_members(RoleId::from_raw(raw as u64)) {
+            let source = (FIRST_ROLE + general.as_raw() as usize) * self.words;
+            if source != target {
+                for word in 0..self.words {
+                    self.rows[target + word] |= self.rows[source + word];
+                }
+            }
         }
     }
 
-    /// The postings after the rule edits in `deltas`, over `roles`
-    /// role rows, or `None` when a rule delta does not line up with
-    /// the policy length.
+    /// Marks the rule at `position` in the rows its specs name: the
+    /// closure rows of the named roles and of every role specializing
+    /// them. A rule naming a role outside the dense role space gets no
+    /// bit on that side: no requester or object can hold such a role,
+    /// so the rule can never apply.
+    fn insert(
+        &mut self,
+        position: usize,
+        (subject, object, transaction): (RoleSpec, RoleSpec, TransactionSpec),
+        closures: &RoleClosures,
+    ) {
+        for (spec, any) in [(subject, SUBJECT_ANY), (object, OBJECT_ANY)] {
+            match spec {
+                RoleSpec::Any => self.set(any, position),
+                RoleSpec::Is(role) => {
+                    for raw in closures.specializations(role) {
+                        self.set(FIRST_ROLE + raw, position);
+                    }
+                }
+            }
+        }
+        if let Some(row) = self.transaction_row(transaction) {
+            self.set(row, position);
+        }
+    }
+
+    /// The postings after the rule edits in `deltas`, over the role
+    /// space and hierarchy of `closures` (the patched closures), with
+    /// the rows of the `dirty` roles re-closed; `None` when a rule
+    /// delta does not line up with the policy length.
     ///
     /// The rows are copied once, into the widest shape the batch
     /// passes through; the edits are then replayed in schedule order
-    /// (an add sets its three bits, a remove shifts its bit out of
-    /// every row). A batch that ends below its peak width narrows the
-    /// copy in place, and transaction rows a removal emptied at the top
-    /// are dropped, so the result equals a fresh build.
-    fn patched(&self, deltas: &[PolicyDelta], roles: usize) -> Option<Self> {
+    /// (an add sets its bits, a remove shifts its bit out of every
+    /// row). A batch that ends below its peak width narrows the copy in
+    /// place, and transaction rows a removal emptied at the top are
+    /// dropped, so the result equals a fresh build.
+    fn patched(
+        &self,
+        deltas: &[PolicyDelta],
+        closures: &RoleClosures,
+        dirty: &BTreeSet<RoleId>,
+    ) -> Option<Self> {
         let (mut len, mut peak, mut transactions) = (self.len, self.len, self.transactions);
         for delta in deltas {
             match *delta {
@@ -437,7 +515,7 @@ impl RuleIndex {
                 _ => {}
             }
         }
-        let mut next = self.relaid(peak.div_ceil(64), roles, transactions);
+        let mut next = self.relaid(peak.div_ceil(64), closures.role_count(), transactions);
         for delta in deltas {
             match *delta {
                 PolicyDelta::RuleAdded {
@@ -445,7 +523,7 @@ impl RuleIndex {
                     transaction,
                     subject,
                     object,
-                } => next.insert(position as usize, subject, object, transaction),
+                } => next.insert(position as usize, (subject, object, transaction), closures),
                 PolicyDelta::RuleRemoved { position } => {
                     for row in next.rows.chunks_exact_mut(next.words) {
                         remove_bit(row, position as usize);
@@ -460,7 +538,32 @@ impl RuleIndex {
             next.transactions -= 1;
         }
         next.rows.truncate(next.row_count() * next.words);
+        for role in dirty {
+            if closures.is_declared(*role) {
+                next.close_row(role.as_raw() as usize, closures);
+            }
+        }
         Some(next)
+    }
+
+    /// True when the row of some role in `dirty` lacks postings that a
+    /// role in its closure under `closures` has: only then does the
+    /// edge insert that dirtied it change the postings.
+    fn misses_closure_postings(&self, closures: &RoleClosures, dirty: &BTreeSet<RoleId>) -> bool {
+        dirty.iter().any(|&role| {
+            let Some(own) = self.role_row(RoleSpec::Is(role), SUBJECT_ANY) else {
+                return false;
+            };
+            closures.closure_members(role).any(|general| {
+                self.role_row(RoleSpec::Is(general), SUBJECT_ANY)
+                    .is_some_and(|row| {
+                        self.row(row)
+                            .iter()
+                            .zip(self.row(own))
+                            .any(|(posted, held)| posted & !held != 0)
+                    })
+            })
+        })
     }
 
     /// A copy with `words` words per row and room for `roles` role rows
@@ -505,47 +608,58 @@ impl RuleIndex {
         self.words = words;
     }
 
-    /// Positions of the rules that could apply to a request, ascending
-    /// (policy order): (transaction row ∪ transaction `Any`) ∩ (⋃ rows
-    /// of `subject_roles` ∪ subject `Any`) ∩ (⋃ rows of `object_roles`
-    /// ∪ object `Any`). Environment guards and confidence thresholds
-    /// are left to the caller's per-rule checks.
-    pub(crate) fn candidates(
-        &self,
+    /// The positions of the rules that could apply to a request,
+    /// ascending (policy order): (transaction row ∪ transaction `Any`)
+    /// ∩ (closure rows of the direct `subject_roles` ∪ subject `Any`)
+    /// ∩ (closure rows of the direct `object_roles` ∪ object `Any`).
+    /// Environment guards and confidence thresholds are left to the
+    /// caller's per-rule checks.
+    ///
+    /// A side with one direct role reads that role's row in place; a
+    /// side with several ORs their rows into `scratch`, which the
+    /// caller keeps across walks so a steady-state walk allocates
+    /// nothing.
+    pub(crate) fn candidates<'a>(
+        &'a self,
         transaction: TransactionId,
-        subject_roles: impl IntoIterator<Item = RoleId>,
-        object_roles: impl IntoIterator<Item = RoleId>,
-    ) -> Candidates {
-        let mut buffer = vec![0; 2 * self.words];
-        let (bits, union) = buffer.split_at_mut(self.words);
-        bits.copy_from_slice(self.row(TRANSACTION_ANY));
-        if let Some(row) = self.transaction_row(TransactionSpec::Is(transaction)) {
-            or_into(bits, self.row(row));
-        }
-        self.restrict(bits, union, SUBJECT_ANY, subject_roles);
-        self.restrict(bits, union, OBJECT_ANY, object_roles);
-        buffer.truncate(self.words);
-        Candidates::new(buffer)
+        subject_roles: &BTreeSet<RoleId>,
+        object_roles: &BTreeSet<RoleId>,
+        scratch: &'a mut Vec<u64>,
+    ) -> Candidates<'a> {
+        scratch.resize(2 * self.words, 0);
+        let (subject_scratch, object_scratch) = scratch.split_at_mut(self.words);
+        let transaction_row = self
+            .transaction_row(TransactionSpec::Is(transaction))
+            .unwrap_or(TRANSACTION_ANY);
+        Candidates::new([
+            self.row(transaction_row),
+            self.row(TRANSACTION_ANY),
+            self.side(subject_roles, subject_scratch)
+                .unwrap_or(self.row(SUBJECT_ANY)),
+            self.row(SUBJECT_ANY),
+            self.side(object_roles, object_scratch)
+                .unwrap_or(self.row(OBJECT_ANY)),
+            self.row(OBJECT_ANY),
+        ])
     }
 
-    /// Intersects `bits` with the union of the `any` row and the rows
-    /// of `roles`, building the union in `union`.
-    fn restrict(
-        &self,
-        bits: &mut [u64],
-        union: &mut [u64],
-        any: usize,
-        roles: impl IntoIterator<Item = RoleId>,
-    ) {
-        union.copy_from_slice(self.row(any));
-        for role in roles {
-            if let Some(row) = self.role_row(RoleSpec::Is(role), any) {
-                or_into(union, self.row(row));
+    /// The union of the closure rows of `roles`: one row read in place,
+    /// or several ORed into `scratch`. `None` when no role has a row.
+    fn side<'a>(&'a self, roles: &BTreeSet<RoleId>, scratch: &'a mut [u64]) -> Option<&'a [u64]> {
+        let mut rows = roles
+            .iter()
+            .filter_map(|&role| self.role_row(RoleSpec::Is(role), SUBJECT_ANY));
+        let first = rows.next()?;
+        let Some(second) = rows.next() else {
+            return Some(self.row(first));
+        };
+        scratch.copy_from_slice(self.row(first));
+        for row in std::iter::once(second).chain(rows) {
+            for (word, posted) in scratch.iter_mut().zip(self.row(row)) {
+                *word |= posted;
             }
         }
-        for (bit, held) in bits.iter_mut().zip(union.iter()) {
-            *bit &= held;
-        }
+        Some(scratch)
     }
 
     /// Rules per transaction row, the `Any` row included.
@@ -569,12 +683,6 @@ impl RuleIndex {
     }
 }
 
-fn or_into(bits: &mut [u64], row: &[u64]) {
-    for (bit, posted) in bits.iter_mut().zip(row) {
-        *bit |= posted;
-    }
-}
-
 /// Removes bit `position` from a bitset row: the bits above it move
 /// down one place, across word boundaries, and the top bit clears.
 fn remove_bit(row: &mut [u64], position: usize) {
@@ -587,33 +695,50 @@ fn remove_bit(row: &mut [u64], position: usize) {
     }
 }
 
-/// The set bits of a candidate bitset, ascending.
-pub(crate) struct Candidates {
-    bits: Vec<u64>,
+/// The candidate positions of one request, ascending: each word is
+/// `(t | t_any) & (s | s_any) & (o | o_any)` over six equal-length
+/// rows, computed as the walk reaches it.
+pub(crate) struct Candidates<'a> {
+    /// Transaction, transaction `Any`, subject, subject `Any`, object,
+    /// object `Any`.
+    rows: [&'a [u64]; 6],
     /// The word `rest` was taken from.
     word: usize,
-    /// The not yet visited bits of `bits[word]`.
+    /// The not yet visited bits of word `word`.
     rest: u64,
 }
 
-impl Candidates {
-    fn new(bits: Vec<u64>) -> Self {
-        let rest = bits.first().copied().unwrap_or(0);
-        Self {
-            bits,
+impl<'a> Candidates<'a> {
+    fn new(rows: [&'a [u64]; 6]) -> Self {
+        let mut walk = Self {
+            rows,
             word: 0,
-            rest,
+            rest: 0,
+        };
+        walk.rest = walk.bits(0);
+        walk
+    }
+
+    /// Word `word` of the intersection; 0 past the end.
+    fn bits(&self, word: usize) -> u64 {
+        let [t, t_any, s, s_any, o, o_any] = self.rows;
+        if word >= t.len() {
+            return 0;
         }
+        (t[word] | t_any[word]) & (s[word] | s_any[word]) & (o[word] | o_any[word])
     }
 }
 
-impl Iterator for Candidates {
+impl Iterator for Candidates<'_> {
     type Item = usize;
 
     fn next(&mut self) -> Option<usize> {
         while self.rest == 0 {
             self.word += 1;
-            self.rest = *self.bits.get(self.word)?;
+            if self.word >= self.rows[0].len() {
+                return None;
+            }
+            self.rest = self.bits(self.word);
         }
         let bit = self.rest.trailing_zeros() as usize;
         self.rest &= self.rest - 1;
@@ -644,7 +769,7 @@ const DAMAGE_FLOOR: usize = 8;
 impl CompiledIndex {
     pub(crate) fn build(catalog: &RoleCatalog, assignments: &Assignments, rules: &[Rule]) -> Self {
         let closures = RoleClosures::build(catalog);
-        let rule_index = RuleIndex::build(rules, closures.role_count());
+        let rule_index = RuleIndex::build(rules, &closures);
         let subjects = assignments
             .subjects_with_roles()
             .map(|(id, roles)| (id.as_raw(), closures.expand(roles.iter().copied())))
@@ -768,10 +893,14 @@ impl CompiledIndex {
             Arc::new(next)
         };
 
-        // Rule edits patch the postings; a grown role space adds empty
-        // role rows.
-        let rules = if rule_edits || required_roles > self.rules.roles {
-            Arc::new(self.rules.patched(deltas, required_roles)?)
+        // Rule edits patch the postings, a grown role space adds empty
+        // role rows, and the dirty roles' rows take in their new
+        // closures when those add postings.
+        let rules = if rule_edits
+            || required_roles > self.rules.roles
+            || self.rules.misses_closure_postings(&closures, &dirty_roles)
+        {
+            Arc::new(self.rules.patched(deltas, &closures, &dirty_roles)?)
         } else {
             Arc::clone(&self.rules)
         };
@@ -947,6 +1076,8 @@ impl std::fmt::Debug for IndexCell {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+
     use super::*;
     use crate::role::RoleKind;
 
@@ -1022,6 +1153,12 @@ mod tests {
         row
     }
 
+    /// The set bits of `bits`, ascending: a candidate walk whose six
+    /// rows are all `bits`.
+    fn set_bits(bits: &[u64]) -> Vec<usize> {
+        Candidates::new([bits; 6]).collect()
+    }
+
     #[test]
     fn remove_bit_shifts_across_word_boundaries() {
         // Bit p of `marked` set for p in {0, 5, 63, 64, 100, 191}.
@@ -1038,8 +1175,7 @@ mod tests {
                 .filter(|&&p| p != removed)
                 .map(|&p| if p > removed { p - 1 } else { p })
                 .collect();
-            let got: Vec<usize> = Candidates::new(shifted).collect();
-            assert_eq!(got, expected, "removing bit {removed}");
+            assert_eq!(set_bits(&shifted), expected, "removing bit {removed}");
         }
         // A full row loses exactly its top bit, wherever the removal.
         for removed in [0usize, 63, 64, 127] {
@@ -1054,11 +1190,16 @@ mod tests {
 
     #[test]
     fn candidates_ascend_in_policy_order() {
-        let bits = vec![1 << 63 | 1 << 2, 0, 1, 1 << 40 | 1 << 7];
-        let order: Vec<usize> = Candidates::new(bits).collect();
-        assert_eq!(order, vec![2, 63, 128, 199, 232]);
-        assert_eq!(Candidates::new(Vec::new()).count(), 0);
-        assert_eq!(Candidates::new(vec![0, 0]).count(), 0);
+        let bits = [1 << 63 | 1 << 2, 0, 1, 1 << 40 | 1 << 7];
+        assert_eq!(set_bits(&bits), vec![2, 63, 128, 199, 232]);
+        assert_eq!(set_bits(&[]), Vec::<usize>::new());
+        assert_eq!(set_bits(&[0, 0]), Vec::<usize>::new());
+        // Each word is (t | t_any) & (s | s_any) & (o | o_any).
+        let (t, t_any) = ([0b0011u64, 1 << 5], [0b0100u64, 0]);
+        let (s, s_any) = ([0b0001u64, 1 << 5], [0b0100u64, 0]);
+        let (o, o_any) = ([0u64, 0], [0b0111u64, 1 << 5]);
+        let walk: Vec<usize> = Candidates::new([&t, &t_any, &s, &s_any, &o, &o_any]).collect();
+        assert_eq!(walk, vec![0, 2, 69]);
     }
 
     type Specs = (RoleSpec, RoleSpec, TransactionSpec);
@@ -1077,6 +1218,59 @@ mod tests {
                 };
                 Rule::from_def(crate::id::RuleId::from_raw(i as u64), def)
             })
+            .collect()
+    }
+
+    thread_local! {
+        static SCRATCH: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+    }
+
+    /// The candidates `index` walks for a request with these direct
+    /// roles, with scratch rows kept across walks as the engine keeps
+    /// them.
+    fn walk(
+        index: &RuleIndex,
+        transaction: TransactionId,
+        subject: &[RoleId],
+        object: &[RoleId],
+    ) -> Vec<usize> {
+        let subject = subject.iter().copied().collect();
+        let object = object.iter().copied().collect();
+        SCRATCH.with(|scratch| {
+            index
+                .candidates(transaction, &subject, &object, &mut scratch.borrow_mut())
+                .collect()
+        })
+    }
+
+    /// The candidates by definition: the rules whose transaction spec
+    /// admits `transaction` and whose subject and object specs are
+    /// `Any` or name a role the hierarchy expansion of the direct roles
+    /// holds.
+    fn reference(
+        catalog: &RoleCatalog,
+        rules: &[Rule],
+        transaction: TransactionId,
+        subject: &[RoleId],
+        object: &[RoleId],
+    ) -> Vec<usize> {
+        let subject = catalog.expand(subject);
+        let object = catalog.expand(object);
+        let holds = |spec: RoleSpec, roles: &BTreeSet<RoleId>| match spec {
+            RoleSpec::Any => true,
+            RoleSpec::Is(role) => roles.contains(&role),
+        };
+        rules
+            .iter()
+            .enumerate()
+            .filter(|(_, rule)| {
+                rule.transaction()
+                    .transaction()
+                    .is_none_or(|named| named == transaction)
+                    && holds(rule.subject_role(), &subject)
+                    && holds(rule.object_role(), &object)
+            })
+            .map(|(position, _)| position)
             .collect()
     }
 
@@ -1104,31 +1298,96 @@ mod tests {
             ),
             (RoleSpec::Any, RoleSpec::Any, TransactionSpec::Is(use_t)),
         ]);
-        let index = RuleIndex::build(&rules, RoleClosures::build(&catalog).role_count());
-        let candidates = |t, subject: &[RoleId], object: &[RoleId]| -> Vec<usize> {
-            index
-                .candidates(t, subject.iter().copied(), object.iter().copied())
-                .collect()
-        };
-        // `family` expands to {family, home_user}.
-        assert_eq!(
-            candidates(use_t, &[family, home_user], &[device]),
-            vec![2, 3, 4]
-        );
-        assert_eq!(
-            candidates(open_t, &[family, home_user], &[device]),
-            vec![1, 2]
-        );
-        assert_eq!(candidates(use_t, &[parent], &[]), vec![4]);
-        assert_eq!(candidates(open_t, &[], &[]), Vec::<usize>::new());
+        let index = RuleIndex::build(&rules, &RoleClosures::build(&catalog));
+        // `family`'s closure row holds the rules naming `family` or
+        // `home_user`.
+        assert_eq!(walk(&index, use_t, &[family], &[device]), vec![2, 3, 4]);
+        assert_eq!(walk(&index, open_t, &[family], &[device]), vec![1, 2]);
+        assert_eq!(walk(&index, use_t, &[parent], &[]), vec![2, 4]);
+        assert_eq!(walk(&index, open_t, &[], &[]), Vec::<usize>::new());
+        for t in [use_t, open_t, TransactionId::from_raw(9)] {
+            for subject in [&[][..], &[home_user], &[family], &[parent]] {
+                for object in [&[][..], &[device]] {
+                    assert_eq!(
+                        walk(&index, t, subject, object),
+                        reference(&catalog, &rules, t, subject, object),
+                        "{t} {subject:?} {object:?}"
+                    );
+                }
+            }
+        }
         assert_eq!(index.bucket_count(), 3);
         assert_eq!(index.max_bucket(), 3);
     }
 
     #[test]
+    fn several_direct_roles_union_their_closure_rows() {
+        let (mut catalog, [home_user, family, parent, device]) = catalog_with_chain();
+        let guest = catalog.declare("guest", RoleKind::Subject).unwrap();
+        let appliance = catalog.declare("appliance", RoleKind::Object).unwrap();
+        let lock = catalog.declare("lock", RoleKind::Object).unwrap();
+        catalog.specialize(appliance, device).unwrap();
+        let (t0, t1) = (TransactionId::from_raw(0), TransactionId::from_raw(1));
+        let specs: Vec<Specs> = (0..150usize)
+            .map(|i| {
+                let subject = [
+                    RoleSpec::Any,
+                    RoleSpec::Is(home_user),
+                    RoleSpec::Is(family),
+                    RoleSpec::Is(parent),
+                    RoleSpec::Is(guest),
+                ][i % 5];
+                let object = [
+                    RoleSpec::Any,
+                    RoleSpec::Is(device),
+                    RoleSpec::Is(appliance),
+                    RoleSpec::Is(lock),
+                ][i % 4];
+                let transaction = [
+                    TransactionSpec::Any,
+                    TransactionSpec::Is(t0),
+                    TransactionSpec::Is(t1),
+                ][i % 3];
+                (subject, object, transaction)
+            })
+            .collect();
+        let rules = rules_of(&specs);
+        let index = RuleIndex::build(&rules, &RoleClosures::build(&catalog));
+        assert_eq!(index.words, 3);
+        let subjects: [&[RoleId]; 5] = [
+            &[],
+            &[guest],
+            &[parent, guest],
+            &[family, guest, home_user],
+            &[home_user, guest],
+        ];
+        let objects: [&[RoleId]; 5] = [
+            &[],
+            &[lock],
+            &[appliance, lock],
+            &[device, appliance, lock],
+            &[device, lock],
+        ];
+        // One-role walks run between several-role ones, so each walk
+        // rebuilds whatever the thread's scratch rows held before.
+        for t in [t0, t1] {
+            for subject in subjects {
+                for object in objects {
+                    assert_eq!(
+                        walk(&index, t, subject, object),
+                        reference(&catalog, &rules, t, subject, object),
+                        "{t} {subject:?} {object:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn patched_postings_cross_word_boundaries_like_a_rebuild() {
         let (catalog, [home_user, _, parent, device]) = catalog_with_chain();
-        let roles = RoleClosures::build(&catalog).role_count();
+        let closures = RoleClosures::build(&catalog);
+        let clean = BTreeSet::new();
         let t = |raw| TransactionSpec::Is(TransactionId::from_raw(raw));
         let base: Vec<Specs> = (0..128usize)
             .map(|i| {
@@ -1151,7 +1410,7 @@ mod tests {
                 )
             })
             .collect();
-        let rebuild = |specs: &[Specs]| RuleIndex::build(&rules_of(specs), roles);
+        let rebuild = |specs: &[Specs]| RuleIndex::build(&rules_of(specs), &closures);
         let index = rebuild(&base);
         assert_eq!(index.words, 2);
         // One add crosses into a third word; a removal anywhere brings
@@ -1163,7 +1422,7 @@ mod tests {
             let mut specs = base.clone();
             specs.push(added);
             let wide = index
-                .patched(std::slice::from_ref(&add), roles)
+                .patched(std::slice::from_ref(&add), &closures, &clean)
                 .expect("append lines up");
             assert_eq!(wide.words, 3);
             assert_eq!(wide, rebuild(&specs));
@@ -1171,29 +1430,215 @@ mod tests {
             let remove = PolicyDelta::RuleRemoved {
                 position: removed as u32,
             };
-            let narrow = wide.patched(&[remove], roles).expect("removal lines up");
+            let narrow = wide
+                .patched(&[remove], &closures, &clean)
+                .expect("removal lines up");
             assert_eq!(narrow.words, 2, "removing {removed} narrows the rows");
             assert_eq!(narrow, rebuild(&specs), "removing {removed}");
         }
         // A batch that widens and narrows again, and declares roles,
         // is one patch.
+        let mut grown = catalog.clone();
+        grown.declare("guest", RoleKind::Subject).unwrap();
+        grown.declare("visitor", RoleKind::Subject).unwrap();
+        let grown = RoleClosures::build(&grown);
         let any = (RoleSpec::Any, RoleSpec::Any, TransactionSpec::Any);
         let batch = [
             rules_of(&[any])[0].added_delta(128),
             PolicyDelta::RuleRemoved { position: 3 },
         ];
-        let patched = index.patched(&batch, roles + 2).expect("batch lines up");
+        let patched = index
+            .patched(&batch, &grown, &clean)
+            .expect("batch lines up");
         let mut specs = base.clone();
         specs.push(any);
         specs.remove(3);
-        assert_eq!(patched, RuleIndex::build(&rules_of(&specs), roles + 2));
+        assert_eq!(patched, RuleIndex::build(&rules_of(&specs), &grown));
         // Deltas that do not line up with the policy length refuse.
         assert!(index
-            .patched(&[PolicyDelta::RuleRemoved { position: 128 }], roles)
+            .patched(
+                &[PolicyDelta::RuleRemoved { position: 128 }],
+                &closures,
+                &clean
+            )
             .is_none());
         assert!(index
-            .patched(&[rules_of(&[any])[0].added_delta(127)], roles)
+            .patched(&[rules_of(&[any])[0].added_delta(127)], &closures, &clean)
             .is_none());
+    }
+
+    #[test]
+    fn patches_across_the_4096_rule_word_boundary_like_a_rebuild() {
+        let (catalog, [home_user, family, parent, device]) = catalog_with_chain();
+        let closures = RoleClosures::build(&catalog);
+        let clean = BTreeSet::new();
+        let subjects = [
+            RoleSpec::Any,
+            RoleSpec::Is(home_user),
+            RoleSpec::Is(family),
+            RoleSpec::Is(parent),
+        ];
+        let base: Vec<Specs> = (0..4096usize)
+            .map(|i| {
+                (
+                    subjects[i % 4],
+                    if i.is_multiple_of(3) {
+                        RoleSpec::Is(device)
+                    } else {
+                        RoleSpec::Any
+                    },
+                    TransactionSpec::Is(TransactionId::from_raw(i as u64 % 4)),
+                )
+            })
+            .collect();
+        let rebuild = |specs: &[Specs]| RuleIndex::build(&rules_of(specs), &closures);
+        let index = rebuild(&base);
+        assert_eq!(index.words, 64);
+        // The add names a role with a specialization, so rule 4096 goes
+        // into the closure rows of `family` and `parent` in word 64.
+        let added = (
+            RoleSpec::Is(family),
+            RoleSpec::Is(device),
+            TransactionSpec::Is(TransactionId::from_raw(1)),
+        );
+        let mut specs = base.clone();
+        specs.push(added);
+        let wide = index
+            .patched(
+                &[rules_of(&[added])[0].added_delta(4096)],
+                &closures,
+                &clean,
+            )
+            .expect("append lines up");
+        assert_eq!(wide.words, 65);
+        assert_eq!(wide, rebuild(&specs));
+        let t1 = TransactionId::from_raw(1);
+        for subject in [family, parent] {
+            assert_eq!(
+                walk(&wide, t1, &[subject], &[device]).last(),
+                Some(&4096),
+                "{subject}"
+            );
+        }
+        assert_ne!(walk(&wide, t1, &[home_user], &[device]).last(), Some(&4096));
+        for removed in [4096usize, 4095, 0, 2048] {
+            let mut specs = specs.clone();
+            specs.remove(removed);
+            let narrow = wide
+                .patched(
+                    &[PolicyDelta::RuleRemoved {
+                        position: removed as u32,
+                    }],
+                    &closures,
+                    &clean,
+                )
+                .expect("removal lines up");
+            assert_eq!(narrow.words, 64, "removing {removed}");
+            assert_eq!(narrow, rebuild(&specs), "removing {removed}");
+        }
+    }
+
+    #[test]
+    fn edge_insert_widens_closure_rows_like_a_rebuild() {
+        let (mut catalog, [home_user, family, parent, device]) = catalog_with_chain();
+        let guest = catalog.declare("guest", RoleKind::Subject).unwrap();
+        let visitor = catalog.declare("visitor", RoleKind::Subject).unwrap();
+        let spare = catalog.declare("spare", RoleKind::Subject).unwrap();
+        let spare_parent = catalog.declare("spare_parent", RoleKind::Subject).unwrap();
+        catalog.specialize(visitor, guest).unwrap();
+        let (use_t, open_t) = (TransactionId::from_raw(0), TransactionId::from_raw(1));
+        let mut specs: Vec<Specs> = vec![
+            (
+                RoleSpec::Is(home_user),
+                RoleSpec::Is(device),
+                TransactionSpec::Is(use_t),
+            ),
+            (RoleSpec::Is(guest), RoleSpec::Any, TransactionSpec::Any),
+            (
+                RoleSpec::Is(family),
+                RoleSpec::Any,
+                TransactionSpec::Is(open_t),
+            ),
+            (
+                RoleSpec::Is(visitor),
+                RoleSpec::Is(device),
+                TransactionSpec::Is(use_t),
+            ),
+        ];
+        let assignments = Assignments::new();
+        let stale = CompiledIndex::build(&catalog, &assignments, &rules_of(&specs));
+        assert_eq!(walk(&stale.rules, use_t, &[visitor], &[device]), vec![1, 3]);
+
+        // `guest` now specializes `family`: the closure rows of `guest`
+        // and `visitor` take in the rules naming `family` and
+        // `home_user`.
+        catalog.specialize(guest, family).unwrap();
+        let edge = PolicyDelta::EdgeAdded {
+            kind: RoleKind::Subject,
+            specific: guest,
+        };
+        let patched = stale
+            .apply_deltas(&[edge], &catalog, &assignments)
+            .expect("a narrow edge insert patches");
+        assert!(Arc::ptr_eq(&stale.objects, &patched.objects));
+        assert_eq!(
+            patched,
+            CompiledIndex::build(&catalog, &assignments, &rules_of(&specs))
+        );
+        assert_eq!(
+            walk(&patched.rules, use_t, &[visitor], &[device]),
+            vec![0, 1, 3]
+        );
+        assert_eq!(walk(&patched.rules, open_t, &[guest], &[]), vec![1, 2]);
+
+        // An edge to a role no rule reaches leaves the postings shared.
+        catalog.specialize(spare, spare_parent).unwrap();
+        let quiet = patched
+            .apply_deltas(
+                &[PolicyDelta::EdgeAdded {
+                    kind: RoleKind::Subject,
+                    specific: spare,
+                }],
+                &catalog,
+                &assignments,
+            )
+            .expect("a narrow edge insert patches");
+        assert!(!Arc::ptr_eq(&patched.closures, &quiet.closures));
+        assert!(Arc::ptr_eq(&patched.rules, &quiet.rules));
+        assert_eq!(
+            quiet,
+            CompiledIndex::build(&catalog, &assignments, &rules_of(&specs))
+        );
+
+        // One batch declares a role, hangs it under `parent` and adds a
+        // rule naming `family`, which reaches the new role's row both
+        // through the add and through the edge.
+        let nanny = catalog.declare("nanny", RoleKind::Subject).unwrap();
+        catalog.specialize(nanny, parent).unwrap();
+        let added = (RoleSpec::Is(family), RoleSpec::Any, TransactionSpec::Any);
+        specs.push(added);
+        let batch = [
+            PolicyDelta::RoleDeclared { role: nanny },
+            PolicyDelta::EdgeAdded {
+                kind: RoleKind::Subject,
+                specific: nanny,
+            },
+            rules_of(&specs)[4].added_delta(4),
+        ];
+        let next = quiet
+            .apply_deltas(&batch, &catalog, &assignments)
+            .expect("a narrow batch patches");
+        let rules = rules_of(&specs);
+        assert_eq!(next, CompiledIndex::build(&catalog, &assignments, &rules));
+        for subject in [nanny, visitor, guest, home_user] {
+            for t in [use_t, open_t] {
+                assert_eq!(
+                    walk(&next.rules, t, &[subject], &[device]),
+                    reference(&catalog, &rules, t, &[subject], &[device]),
+                    "{subject} {t}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -104,6 +104,32 @@ pub struct ProvenanceRecord {
 }
 
 impl ProvenanceRecord {
+    /// A record with empty buffers, for [`FlightRecorder::record_with`]
+    /// to fill while the ring has room.
+    fn blank() -> Self {
+        Self {
+            seq: 0,
+            writer: 0,
+            writer_seq: 0,
+            decision_id: DecisionId::UNASSIGNED,
+            actor: Actor::Subject(SubjectId::from_raw(0)),
+            transaction: TransactionId::from_raw(0),
+            object: ObjectId::from_raw(0),
+            timestamp: None,
+            env_roles: Vec::new(),
+            env_hash: 0,
+            env_health: EnvHealth::Fresh,
+            generation: 0,
+            effect: Effect::Deny,
+            winning_rule: None,
+            matched_rules: Vec::new(),
+            subject_role_count: 0,
+            degraded: None,
+            stage_nanos: None,
+            total_nanos: None,
+        }
+    }
+
     /// The requesting subject, when the actor identifies one directly
     /// (trusted subjects and sensed contexts with an identity; open
     /// sessions would need the session table of the recording engine).
@@ -180,17 +206,31 @@ impl FlightRecorder {
     /// is full. The record's `seq`, `writer` and `writer_seq` fields
     /// are assigned here. Returns the assigned global sequence number,
     /// or `None` when the recorder is disabled.
-    pub fn record(&self, mut record: ProvenanceRecord) -> Option<u64> {
+    pub fn record(&self, record: ProvenanceRecord) -> Option<u64> {
+        self.record_with(|slot| *slot = record)
+    }
+
+    /// Records a decision that `fill` writes into a record slot: the
+    /// record the ring evicts once it is full, so its buffers and actor
+    /// are reused, or a new one while the ring has room. `fill` must
+    /// set every field except `seq`, `writer` and `writer_seq`, which
+    /// are assigned here, and runs under the ring's lock. Returns what
+    /// [`Self::record`] returns.
+    pub(crate) fn record_with(&self, fill: impl FnOnce(&mut ProvenanceRecord)) -> Option<u64> {
         if !self.is_enabled() {
             return None;
         }
         let writer = thread_id();
-        record.writer = writer;
-        record.writer_seq =
+        let writer_seq =
             self.writer_seqs[writer as usize % MAX_WRITERS].fetch_add(1, Ordering::Relaxed);
         let mut ring = lock(&self.ring);
-        record.seq = ring.pushed();
-        Some(ring.push(record))
+        let seq = ring.pushed();
+        Some(ring.push_with(ProvenanceRecord::blank, |record| {
+            fill(record);
+            record.seq = seq;
+            record.writer = writer;
+            record.writer_seq = writer_seq;
+        }))
     }
 
     /// Decisions ever recorded (including dropped ones).

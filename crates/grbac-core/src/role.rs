@@ -100,8 +100,11 @@ impl std::fmt::Display for Role {
 pub struct RoleCatalog {
     #[serde(with = "crate::serde_pairs::hash")]
     roles: HashMap<RoleId, Role>,
-    #[serde(with = "crate::serde_pairs::hash")]
-    by_name: HashMap<(RoleKind, String), RoleId>,
+    /// Role ids by name, one map per kind in [`RoleKind::ALL`] order,
+    /// so a lookup borrows the name. Serialized as the one
+    /// `((kind, name), id)` pair list of earlier snapshots.
+    #[serde(with = "names_by_kind")]
+    by_name: [HashMap<String, RoleId>; 3],
     subject_hierarchy: RoleHierarchy,
     object_hierarchy: RoleHierarchy,
     environment_hierarchy: RoleHierarchy,
@@ -123,7 +126,7 @@ impl RoleCatalog {
     /// and kind already exists.
     pub fn declare(&mut self, name: impl Into<String>, kind: RoleKind) -> Result<RoleId> {
         let name = name.into();
-        if self.by_name.contains_key(&(kind, name.clone())) {
+        if self.by_name[kind as usize].contains_key(&name) {
             return Err(GrbacError::DuplicateName {
                 kind: match kind {
                     RoleKind::Subject => "subject role",
@@ -134,7 +137,7 @@ impl RoleCatalog {
             });
         }
         let id = RoleId::from_raw(self.alloc.next());
-        self.by_name.insert((kind, name.clone()), id);
+        self.by_name[kind as usize].insert(name.clone(), id);
         self.roles.insert(id, Role { id, name, kind });
         self.hierarchy_mut(kind).add_role(id);
         Ok(id)
@@ -180,8 +183,8 @@ impl RoleCatalog {
     ///
     /// Returns [`GrbacError::UnknownRoleName`] if no such role is declared.
     pub fn find(&self, kind: RoleKind, name: &str) -> Result<RoleId> {
-        self.by_name
-            .get(&(kind, name.to_owned()))
+        self.by_name[kind as usize]
+            .get(name)
             .copied()
             .ok_or_else(|| GrbacError::UnknownRoleName {
                 kind,
@@ -295,6 +298,40 @@ impl RoleCatalog {
     }
 }
 
+/// Serde adapter for [`RoleCatalog`]'s per-kind name maps: they travel
+/// as the single `((kind, name), id)` pair list the catalog always had,
+/// so snapshots load across the change in either direction.
+mod names_by_kind {
+    use std::collections::HashMap;
+
+    use serde::{Error, Value};
+
+    use super::RoleKind;
+    use crate::id::RoleId;
+    use crate::serde_pairs::hash;
+
+    pub(super) fn to_value(maps: &[HashMap<String, RoleId>; 3]) -> Value {
+        let pairs: HashMap<(RoleKind, String), RoleId> = RoleKind::ALL
+            .iter()
+            .zip(maps)
+            .flat_map(|(&kind, names)| {
+                names
+                    .iter()
+                    .map(move |(name, &id)| ((kind, name.clone()), id))
+            })
+            .collect();
+        hash::to_value(&pairs)
+    }
+
+    pub(super) fn from_value(value: &Value) -> Result<[HashMap<String, RoleId>; 3], Error> {
+        let mut maps: [HashMap<String, RoleId>; 3] = Default::default();
+        for ((kind, name), id) in hash::from_value::<(RoleKind, String), RoleId>(value)? {
+            maps[kind as usize].insert(name, id);
+        }
+        Ok(maps)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -403,6 +440,38 @@ mod tests {
         assert_eq!(c.iter_kind(RoleKind::Subject).count(), 2);
         assert_eq!(c.iter_kind(RoleKind::Object).count(), 1);
         assert_eq!(c.iter().count(), 3 + 1);
+    }
+
+    #[test]
+    fn name_index_keeps_its_serialized_pair_list() {
+        // Written when the catalog kept one `(kind, name)` map.
+        let earlier = r#"{"roles":[[3,{"id":3,"name":"kitchen","kind":"Environment"}],[2,{"id":2,"name":"kitchen","kind":"Object"}],[0,{"id":0,"name":"family","kind":"Subject"}],[1,{"id":1,"name":"child","kind":"Subject"}]],"by_name":[[["Subject","family"],0],[["Object","kitchen"],2],[["Subject","child"],1],[["Environment","kitchen"],3]],"subject_hierarchy":{"generals":[[0,[]],[1,[0]]],"specifics":[[0,[1]],[1,[]]]},"object_hierarchy":{"generals":[[2,[]]],"specifics":[[2,[]]]},"environment_hierarchy":{"generals":[[3,[]]],"specifics":[[3,[]]]},"alloc":{"next":4}}"#;
+        let catalog: RoleCatalog = serde_json::from_str(earlier).unwrap();
+        let id = RoleId::from_raw;
+        assert_eq!(catalog.find(RoleKind::Subject, "child").unwrap(), id(1));
+        assert_eq!(catalog.find(RoleKind::Object, "kitchen").unwrap(), id(2));
+        assert_eq!(
+            catalog.find(RoleKind::Environment, "kitchen").unwrap(),
+            id(3)
+        );
+        assert!(catalog.find(RoleKind::Object, "child").is_err());
+        assert!(catalog.is_specialization_of(id(1), id(0)).unwrap());
+
+        // Written again, it reads back as the same pair list.
+        #[derive(Deserialize)]
+        struct Earlier {
+            #[serde(with = "crate::serde_pairs::hash")]
+            by_name: HashMap<(RoleKind, String), RoleId>,
+        }
+        let written: Earlier =
+            serde_json::from_str(&serde_json::to_string(&catalog).unwrap()).unwrap();
+        let expected = HashMap::from([
+            ((RoleKind::Subject, "family".to_owned()), id(0)),
+            ((RoleKind::Subject, "child".to_owned()), id(1)),
+            ((RoleKind::Object, "kitchen".to_owned()), id(2)),
+            ((RoleKind::Environment, "kitchen".to_owned()), id(3)),
+        ]);
+        assert_eq!(written.by_name, expected);
     }
 
     #[test]

@@ -13,11 +13,22 @@
 //! a small fixed set of shards; each OS thread is pinned to one shard
 //! (round-robin at first touch), so parallel `decide_batch` workers
 //! never contend on the same cache line. A shard is a `RwLock` around
-//! a dense `Vec` of atomic cells indexed by raw [`RuleId`] — the read
-//! lock is uncontended in steady state and the write lock is taken
-//! only when the table widens (new rules) — mirroring the
+//! a dense `Vec` of atomic cells indexed by *slot* — the read lock is
+//! uncontended in steady state and the write lock is taken only when
+//! the tables widen — mirroring the
 //! [`KeyedCounter`](super::KeyedCounter) idiom. Readers sum across
 //! shards.
+//!
+//! Each live rule holds one slot. The engine claims a slot for a rule
+//! when it adds the rule and releases it when it removes the rule: the
+//! rule leaves the table at once, and the slot's counters are zeroed,
+//! with a batch of other released slots, before another rule reuses
+//! it. So the tables stay within 32 slots of the most rules ever live
+//! at once, however many rule ids were minted. The engine keeps each rule's slot
+//! beside its policy position, so a decision's heat goes straight to
+//! its slots; readers ([`RuleHeat::get`], [`RuleHeat::snapshot`]) still
+//! key by raw [`RuleId`], summing the slots that engines sharing the
+//! table hold for one rule id.
 //!
 //! Heat can be disabled at runtime ([`RuleHeat::set_enabled`]) so the
 //! overhead experiment (E13) can measure the tracking cost against an
@@ -25,8 +36,8 @@
 //! update compiles to a no-op like the rest of the registry.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::RwLock;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use serde::{Deserialize, Serialize};
 
@@ -53,71 +64,53 @@ struct HeatCell {
     last_gen: AtomicU64,
 }
 
-/// One shard: a dense slot table indexed by raw rule id.
+/// One shard: a dense table of cells indexed by slot.
 #[derive(Debug, Default)]
 struct Shard {
     cells: RwLock<Vec<HeatCell>>,
 }
 
 impl Shard {
-    /// Runs `update` on the cell for `index`, widening the table first
-    /// if the rule id is beyond the current length.
-    fn with_cell(&self, index: usize, update: impl Fn(&HeatCell)) {
-        {
-            let cells = self
-                .cells
-                .read()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if let Some(cell) = cells.get(index) {
-                update(cell);
-                return;
-            }
-        }
-        let mut cells = self
-            .cells
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if cells.len() <= index {
-            cells.resize_with(index + 1, HeatCell::default);
-        }
-        update(&cells[index]);
+    fn read(&self) -> RwLockReadGuard<'_, Vec<HeatCell>> {
+        self.cells
+            .read()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Pre-sizes the slot table to at least `capacity` cells. Called
-    /// on every index install — including cheap incremental delta
-    /// applications — so the already-sized case takes only a read
-    /// lock. Returns the capacity the table has allocated.
-    fn reserve(&self, capacity: usize) -> usize {
-        {
-            let cells = self
-                .cells
-                .read()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if cells.len() >= capacity {
-                return cells.capacity();
-            }
+    /// Runs `update` on the cell of `slot`. Slots come from
+    /// [`RuleHeat::claim`], which widens every shard first.
+    fn with_cell(&self, slot: u32, update: impl Fn(&HeatCell)) {
+        if let Some(cell) = self.read().get(slot as usize) {
+            update(cell);
         }
-        let mut cells = self
-            .cells
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if cells.len() < capacity {
-            cells.resize_with(capacity, HeatCell::default);
-        }
-        cells.capacity()
     }
+}
 
-    /// Grows the slot table's allocation to hold `capacity` cells,
-    /// leaving its length alone. Returns the capacity it now has.
-    fn reserve_room(&self, capacity: usize) -> usize {
-        let mut cells = self
-            .cells
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let len = cells.len();
-        cells.reserve(capacity.saturating_sub(len));
-        cells.capacity()
+impl HeatCell {
+    fn zero(&self) {
+        self.matched.store(0, Ordering::Relaxed);
+        self.won_permit.store(0, Ordering::Relaxed);
+        self.won_deny.store(0, Ordering::Relaxed);
+        self.last_gen.store(0, Ordering::Relaxed);
     }
+}
+
+/// Released slots zeroed together, so a removal does not visit every
+/// shard: the tables hold at most this many slots beyond the most rules
+/// ever live at once.
+const RETIRE_BATCH: usize = 32;
+
+/// Which rule holds each slot.
+#[derive(Debug, Default)]
+struct Slots {
+    /// The raw rule id holding each slot; `None` for a free slot.
+    owners: Vec<Option<u64>>,
+    /// Zeroed free slots, reused before the tables grow.
+    free: Vec<u32>,
+    /// Released slots whose counters are not zeroed yet.
+    retired: Vec<u32>,
+    /// Cells every shard holds; only widened under this lock.
+    widened: usize,
 }
 
 /// Sharded per-rule heat counters (see the module docs).
@@ -128,6 +121,7 @@ impl Shard {
 #[derive(Debug)]
 pub struct RuleHeat {
     shards: [Shard; SHARDS],
+    slots: RwLock<Slots>,
     /// Runtime kill switch (heat on by default). Checked with one
     /// relaxed load per decision, so E13 can price the tracking
     /// against an otherwise identical engine.
@@ -138,9 +132,6 @@ pub struct RuleHeat {
     /// Total decisions folded into the table (wins across all rules
     /// plus default-effect decisions where no rule won).
     decisions: AtomicU64,
-    /// Cells every shard can hold without reallocating (a lower bound;
-    /// 0 until an index install first sizes the tables).
-    room: AtomicUsize,
 }
 
 impl Default for RuleHeat {
@@ -155,11 +146,23 @@ impl RuleHeat {
     pub fn new() -> Self {
         Self {
             shards: std::array::from_fn(|_| Shard::default()),
+            slots: RwLock::default(),
             enabled: AtomicBool::new(true),
             resets: AtomicU64::new(0),
             decisions: AtomicU64::new(0),
-            room: AtomicUsize::new(0),
         }
+    }
+
+    fn slots(&self) -> RwLockReadGuard<'_, Slots> {
+        self.slots
+            .read()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    fn slots_mut(&self) -> RwLockWriteGuard<'_, Slots> {
+        self.slots
+            .write()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Whether heat is currently being recorded (always false when the
@@ -187,42 +190,93 @@ impl RuleHeat {
         self.decisions.load(Ordering::Relaxed)
     }
 
-    /// Pre-sizes every shard for `rule_count` rules, so steady-state
-    /// recording never takes a write lock. The engine calls this when
-    /// it rebuilds the compiled index, which is exactly when the rule
-    /// id ceiling can have moved.
-    pub fn reserve(&self, rule_count: usize) {
+    /// Slots in the tables: at most 32 more than the most rules that
+    /// were ever live at once (plus any ids recorded
+    /// through [`Self::record_decision`] alone), not the number of rule
+    /// ids ever minted.
+    #[must_use]
+    pub fn slot_count(&self) -> usize {
+        self.slots().owners.len()
+    }
+
+    /// A free slot for rule `raw_rule`, each slot held by one rule of
+    /// one engine: a zeroed free slot, else a batch of retired slots
+    /// zeroed at once, else a new slot. Returns 0 without bookkeeping
+    /// under `telemetry-off`.
+    pub(crate) fn claim(&self, raw_rule: u64) -> u32 {
+        if !ENABLED {
+            return 0;
+        }
+        let mut slots = self.slots_mut();
+        let slot = self.take_slot(&mut slots, raw_rule);
+        self.widen(&mut slots);
+        slot
+    }
+
+    /// [`Self::claim`] for each of `raw_rules`, in order, under one
+    /// lock and widening every shard at most once.
+    pub(crate) fn claim_all(&self, raw_rules: impl IntoIterator<Item = u64>) -> Vec<u32> {
+        let raw_rules = raw_rules.into_iter();
+        if !ENABLED {
+            return raw_rules.map(|_| 0).collect();
+        }
+        let mut slots = self.slots_mut();
+        let claimed = raw_rules
+            .map(|raw| self.take_slot(&mut slots, raw))
+            .collect();
+        self.widen(&mut slots);
+        claimed
+    }
+
+    fn take_slot(&self, slots: &mut Slots, raw_rule: u64) -> u32 {
+        if slots.free.is_empty() && slots.retired.len() >= RETIRE_BATCH {
+            for shard in &self.shards {
+                let cells = shard.read();
+                for &slot in &slots.retired {
+                    if let Some(cell) = cells.get(slot as usize) {
+                        cell.zero();
+                    }
+                }
+            }
+            // The lists trade buffers, so steady churn allocates nothing.
+            let Slots { free, retired, .. } = slots;
+            std::mem::swap(free, retired);
+        }
+        let slot = slots.free.pop().unwrap_or_else(|| {
+            slots.owners.push(None);
+            u32::try_from(slots.owners.len() - 1).expect("fewer than 2^32 live rules")
+        });
+        slots.owners[slot as usize] = Some(raw_rule);
+        slot
+    }
+
+    /// Gives every shard a cell per slot.
+    fn widen(&self, slots: &mut Slots) {
+        let len = slots.owners.len();
+        if len > slots.widened {
+            for shard in &self.shards {
+                shard
+                    .cells
+                    .write()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                    .resize_with(len, HeatCell::default);
+            }
+            slots.widened = len;
+        }
+    }
+
+    /// Frees `slot`: its rule leaves [`Self::snapshot`] and
+    /// [`Self::get`] at once, and the slot's counters are zeroed, with
+    /// a batch of other released slots, before another rule reuses it.
+    pub(crate) fn release(&self, slot: u32) {
         if !ENABLED {
             return;
         }
-        let room = self
-            .shards
-            .iter()
-            .map(|shard| shard.reserve(rule_count))
-            .min()
-            .unwrap_or(0);
-        self.room.fetch_max(room, Ordering::Relaxed);
-    }
-
-    /// Grows every shard's allocation to hold `rule_count` rules
-    /// without lengthening the tables. The engine calls this as it
-    /// mints rule ids, so a reallocation lands on the edit and the next
-    /// index install's [`reserve`](Self::reserve) only lengthens the
-    /// tables within their room. Until an install has sized the tables
-    /// there is nothing to grow ahead of: the first install allocates
-    /// them once. One relaxed load while the room suffices.
-    pub(crate) fn reserve_room(&self, rule_count: usize) {
-        let room = self.room.load(Ordering::Relaxed);
-        if !ENABLED || room == 0 || rule_count <= room {
-            return;
+        let mut slots = self.slots_mut();
+        if let Some(owner @ Some(_)) = slots.owners.get_mut(slot as usize) {
+            *owner = None;
+            slots.retired.push(slot);
         }
-        let room = self
-            .shards
-            .iter()
-            .map(|shard| shard.reserve_room(rule_count))
-            .min()
-            .unwrap_or(0);
-        self.room.fetch_max(room, Ordering::Relaxed);
     }
 
     /// Zeroes every counter (the slot tables keep their size). Bumps
@@ -230,15 +284,8 @@ impl RuleHeat {
     /// wipe.
     pub fn reset(&self) {
         for shard in &self.shards {
-            let cells = shard
-                .cells
-                .read()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            for cell in cells.iter() {
-                cell.matched.store(0, Ordering::Relaxed);
-                cell.won_permit.store(0, Ordering::Relaxed);
-                cell.won_deny.store(0, Ordering::Relaxed);
-                cell.last_gen.store(0, Ordering::Relaxed);
+            for cell in shard.read().iter() {
+                cell.zero();
             }
         }
         self.decisions.store(0, Ordering::Relaxed);
@@ -249,6 +296,10 @@ impl RuleHeat {
     /// match, the winner (if any) gets a win under its effect, and both
     /// stamp the policy generation they fired under. `winner_permit`
     /// is ignored when `winner` is `None` (default-effect decision).
+    ///
+    /// Rules are named by raw id, each recorded in the first slot that
+    /// rule holds (claimed the first time). The engine records through
+    /// the slots it keeps instead.
     pub fn record_decision(
         &self,
         matched: impl IntoIterator<Item = u64>,
@@ -259,16 +310,44 @@ impl RuleHeat {
         if !self.is_enabled() {
             return;
         }
+        let slot_of = |raw: u64| {
+            let held = self
+                .slots()
+                .owners
+                .iter()
+                .position(|&owner| owner == Some(raw));
+            held.map_or_else(|| self.claim(raw), |slot| slot as u32)
+        };
+        self.record_slots(
+            matched.into_iter().map(slot_of),
+            winner.map(slot_of),
+            winner_permit,
+            generation,
+        );
+    }
+
+    /// [`Self::record_decision`] for rules named by their claimed
+    /// slots: the decide path, with no directory lookup.
+    pub(crate) fn record_slots(
+        &self,
+        matched: impl IntoIterator<Item = u32>,
+        winner: Option<u32>,
+        winner_permit: bool,
+        generation: u64,
+    ) {
+        if !self.is_enabled() {
+            return;
+        }
         let shard = &self.shards[thread_id() as usize % SHARDS];
         let stamp = generation.wrapping_add(1).max(1);
-        for raw in matched {
-            shard.with_cell(raw as usize, |cell| {
+        for slot in matched {
+            shard.with_cell(slot, |cell| {
                 cell.matched.fetch_add(1, Ordering::Relaxed);
                 cell.last_gen.fetch_max(stamp, Ordering::Relaxed);
             });
         }
-        if let Some(raw) = winner {
-            shard.with_cell(raw as usize, |cell| {
+        if let Some(slot) = winner {
+            shard.with_cell(slot, |cell| {
                 if winner_permit {
                     cell.won_permit.fetch_add(1, Ordering::Relaxed);
                 } else {
@@ -279,39 +358,41 @@ impl RuleHeat {
         self.decisions.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Heat for one rule (zeros if it never fired), summed across
-    /// shards.
+    /// Heat for one rule (zeros if it never fired or holds no slot),
+    /// summed across shards and across the slots it holds (one per
+    /// engine that shares this table).
     #[must_use]
     pub fn get(&self, raw_rule: u64) -> RuleHeatEntry {
+        let slots = self.slots();
         let mut entry = RuleHeatEntry::default();
         let mut stamp = 0u64;
         for shard in &self.shards {
-            let cells = shard
-                .cells
-                .read()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if let Some(cell) = cells.get(raw_rule as usize) {
-                entry.matched += cell.matched.load(Ordering::Relaxed);
-                entry.won_permit += cell.won_permit.load(Ordering::Relaxed);
-                entry.won_deny += cell.won_deny.load(Ordering::Relaxed);
-                stamp = stamp.max(cell.last_gen.load(Ordering::Relaxed));
+            let cells = shard.read();
+            for (cell, &owner) in cells.iter().zip(&slots.owners) {
+                if owner == Some(raw_rule) {
+                    entry.matched += cell.matched.load(Ordering::Relaxed);
+                    entry.won_permit += cell.won_permit.load(Ordering::Relaxed);
+                    entry.won_deny += cell.won_deny.load(Ordering::Relaxed);
+                    stamp = stamp.max(cell.last_gen.load(Ordering::Relaxed));
+                }
             }
         }
         entry.last_fired_generation = stamp.checked_sub(1);
         entry
     }
 
-    /// A point-in-time merge of all shards: every rule with any heat,
-    /// keyed by raw rule id, plus the table-level accumulators.
+    /// A point-in-time merge of all shards: every rule holding a slot
+    /// with any heat, keyed by raw rule id, plus the table-level
+    /// accumulators.
     #[must_use]
     pub fn snapshot(&self) -> RuleHeatSnapshot {
+        let slots = self.slots();
         let mut merged: BTreeMap<u64, (RuleHeatEntry, u64)> = BTreeMap::new();
         for shard in &self.shards {
-            let cells = shard
-                .cells
-                .read()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            for (raw, cell) in cells.iter().enumerate() {
+            for (cell, owner) in shard.read().iter().zip(&slots.owners) {
+                let Some(raw) = *owner else {
+                    continue;
+                };
                 let matched = cell.matched.load(Ordering::Relaxed);
                 let won_permit = cell.won_permit.load(Ordering::Relaxed);
                 let won_deny = cell.won_deny.load(Ordering::Relaxed);
@@ -319,7 +400,7 @@ impl RuleHeat {
                 if matched == 0 && won_permit == 0 && won_deny == 0 && stamp == 0 {
                     continue;
                 }
-                let (entry, max_stamp) = merged.entry(raw as u64).or_default();
+                let (entry, max_stamp) = merged.entry(raw).or_default();
                 entry.matched += matched;
                 entry.won_permit += won_permit;
                 entry.won_deny += won_deny;
@@ -438,7 +519,6 @@ mod tests {
     #[test]
     fn reset_zeroes_but_counts() {
         let heat = RuleHeat::new();
-        heat.reserve(4);
         heat.record_decision([1], Some(1), true, 5);
         heat.reset();
         assert_eq!(heat.reset_count(), 1);
@@ -448,9 +528,49 @@ mod tests {
     }
 
     #[test]
+    fn released_slots_leave_the_table_and_are_reused() {
+        let heat = RuleHeat::new();
+        let slots = heat.claim_all(10..14);
+        heat.record_slots([slots[0], slots[2]], Some(slots[2]), false, 4);
+        heat.release(slots[2]);
+        if !ENABLED {
+            assert_eq!(slots, vec![0; 4]);
+            assert_eq!(heat.slot_count(), 0);
+            return;
+        }
+        assert_eq!(slots, vec![0, 1, 2, 3]);
+        // Rule 12 left the table at once; its slot waits for a batch.
+        assert_eq!(heat.get(12), RuleHeatEntry::default());
+        let snap = heat.snapshot();
+        assert_eq!(snap.rules.keys().copied().collect::<Vec<_>>(), vec![10]);
+        assert_eq!(snap.decisions, 1);
+        assert_eq!(heat.claim(14), 4);
+        // A full batch of released slots is zeroed and reused before
+        // the tables grow again.
+        let batch = heat.claim_all(100..100 + RETIRE_BATCH as u64);
+        for slot in &batch {
+            heat.release(*slot);
+        }
+        let reused = heat.claim_all([200, 201]);
+        assert_eq!(heat.slot_count(), 5 + RETIRE_BATCH);
+        assert!(reused.iter().all(|&slot| slot == 2 || slot >= 5));
+        heat.record_slots(reused.clone(), None, false, 5);
+        assert_eq!(heat.get(200).matched, 1);
+        assert_eq!(heat.get(200).won(), 0);
+        assert_eq!(heat.get(201).matched, 1);
+        // Two slots held for one rule id (two engines sharing the
+        // table) read as one rule.
+        let again = heat.claim(10);
+        heat.record_slots([again], Some(again), true, 6);
+        let entry = heat.get(10);
+        assert_eq!((entry.matched, entry.won_permit), (2, 1));
+        assert_eq!(entry.last_fired_generation, Some(6));
+        assert_eq!(heat.snapshot().get(10), entry);
+    }
+
+    #[test]
     fn concurrent_writers_land_in_shards_and_merge() {
         let heat = std::sync::Arc::new(RuleHeat::new());
-        heat.reserve(8);
         let threads: Vec<_> = (0..4)
             .map(|_| {
                 let heat = std::sync::Arc::clone(&heat);

@@ -58,6 +58,29 @@ impl<T> BoundedRing<T> {
         ticket
     }
 
+    /// Appends an item written in place. When the ring is full, the
+    /// oldest item is evicted by turning it into the newest and handing
+    /// it to `fill` to overwrite, so the new item keeps the evicted
+    /// one's storage; while the ring has room, `fill` overwrites a
+    /// `fresh()` item instead. Neither runs at capacity 0. Returns the
+    /// ticket, as [`Self::push`] does, and the evicted item counts as
+    /// dropped.
+    pub fn push_with(&mut self, fresh: impl FnOnce() -> T, fill: impl FnOnce(&mut T)) -> u64 {
+        let ticket = self.pushed;
+        self.pushed += 1;
+        if self.is_full() {
+            self.dropped += 1;
+            if self.capacity == 0 {
+                return ticket;
+            }
+            self.items.rotate_left(1);
+        } else {
+            self.items.push_back(fresh());
+        }
+        fill(self.items.back_mut().expect("the ring holds the item"));
+        ticket
+    }
+
     /// Removes and yields every retained item, oldest first. The items
     /// count as drained as soon as this is called, whether or not the
     /// iterator is consumed.

@@ -145,9 +145,17 @@ impl TraceSink for NoTrace {
 }
 
 /// The recording sink used by `decide_traced`.
-#[derive(Default)]
 pub(crate) struct TraceCollector {
     stages: Vec<StageRecord>,
+}
+
+impl Default for TraceCollector {
+    /// A collector whose stage list holds every stage without growing.
+    fn default() -> Self {
+        Self {
+            stages: Vec::with_capacity(Stage::ALL.len()),
+        }
+    }
 }
 
 impl TraceCollector {

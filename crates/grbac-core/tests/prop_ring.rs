@@ -1,9 +1,12 @@
-//! `BoundedRing` property suite: random sequences of push, drain and
-//! iterate at capacities 0 to 9, checked after every operation against
-//! a plain `Vec` model — the ring retains exactly the newest
-//! `capacity` undrained items in push order, tickets are contiguous,
-//! and `len + dropped + drained == pushed` — plus one concurrent case
-//! where producers push through a `Mutex` while a consumer drains.
+//! `BoundedRing` property suite: random sequences of push, evicting
+//! push (`push_with`, which hands the evicted item to the new item's
+//! builder), drain and iterate at capacities 0 to 9, checked after
+//! every operation against a plain `Vec` model — the ring retains
+//! exactly the newest `capacity` undrained items in push order, tickets
+//! are contiguous, `push_with` hands back exactly the item a plain push
+//! would have dropped, and `len + dropped + drained == pushed` — plus
+//! one concurrent case where producers push through a `Mutex` while a
+//! consumer drains.
 
 use std::sync::{Barrier, Mutex};
 
@@ -14,12 +17,18 @@ use proptest::test_runner::TestCaseError;
 #[derive(Debug, Clone, Copy)]
 enum Op {
     Push,
+    PushWith,
     Drain,
     Iterate,
 }
 
 fn op() -> impl Strategy<Value = Op> {
-    prop_oneof![6 => Just(Op::Push), 1 => Just(Op::Drain), 1 => Just(Op::Iterate)]
+    prop_oneof![
+        3 => Just(Op::Push),
+        3 => Just(Op::PushWith),
+        1 => Just(Op::Drain),
+        1 => Just(Op::Iterate)
+    ]
 }
 
 /// The model: every item ever pushed (item `n` is the `n`th push),
@@ -69,6 +78,33 @@ proptest! {
                     let item = model.pushed.len() as u64;
                     // Tickets are contiguous: the nth push gets ticket n.
                     prop_assert_eq!(ring.push(item), item);
+                    model.pushed.push(item);
+                }
+                Op::PushWith => {
+                    let item = model.pushed.len() as u64;
+                    // A full ring hands `fill` its oldest item; one with
+                    // room hands it a fresh one. Capacity 0 runs neither.
+                    let retained = model.retained(capacity);
+                    let full = retained.len() == capacity;
+                    let (mut fresh_made, mut overwritten) = (false, None);
+                    let ticket = ring.push_with(
+                        || {
+                            fresh_made = true;
+                            u64::MAX
+                        },
+                        |slot| {
+                            overwritten = Some(*slot);
+                            *slot = item;
+                        },
+                    );
+                    prop_assert_eq!(ticket, item);
+                    prop_assert_eq!(fresh_made, !full);
+                    let handed = match (capacity, full) {
+                        (0, _) => None,
+                        (_, true) => Some(retained[0]),
+                        (_, false) => Some(u64::MAX),
+                    };
+                    prop_assert_eq!(overwritten, handed);
                     model.pushed.push(item);
                 }
                 Op::Drain => {
