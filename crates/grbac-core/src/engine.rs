@@ -73,6 +73,7 @@ use crate::index::{Advance, CachedExpansion, CompiledIndex, IndexCell};
 use crate::precedence::ConflictStrategy;
 use crate::provenance::{env_fingerprint, FlightRecorder};
 use crate::role::{RoleCatalog, RoleKind};
+use crate::roleset::RoleSet;
 use crate::rule::{Effect, RoleSpec, Rule, RuleDef, TransactionSpec};
 use crate::session::SessionManager;
 use crate::sod::{SodConstraint, SodKind, SodPolicy};
@@ -1193,7 +1194,7 @@ impl Grbac {
         index: &CompiledIndex,
         sink: &mut S,
     ) -> Result<Decision> {
-        let result = self.mediate(request, index, sink);
+        let result = with_scratch(|scratch| self.mediate(request, index, sink, scratch));
         match &result {
             Ok(decision) => {
                 match decision.effect() {
@@ -1322,21 +1323,28 @@ impl Grbac {
     /// The mediation algorithm itself, generic over a [`TraceSink`]:
     /// with [`NoTrace`] every `enter`/`exit` call compiles away, with a
     /// [`TraceCollector`] the same code yields a [`DecisionTrace`] —
-    /// the traced and untraced paths cannot diverge.
+    /// the traced and untraced paths cannot diverge. `scratch` is the
+    /// thread's [`DecideScratch`], held for the whole decide.
     fn mediate<S: TraceSink>(
         &self,
         request: &AccessRequest,
         index: &CompiledIndex,
         sink: &mut S,
+        scratch: &mut DecideScratch,
     ) -> Result<Decision> {
         self.entities.transaction(request.transaction)?;
         self.entities.object(request.object)?;
+        let DecideScratch {
+            rows,
+            matched,
+            confidences,
+        } = scratch;
 
         // 1. The requester's roles: cached expansions for trusted
         //    subjects, per-request closure merges for sessions and
         //    sensed contexts.
         let span = sink.enter(Stage::SubjectExpansion);
-        let subject = self.subject_view(&request.actor, index)?;
+        let subject = self.subject_view(&request.actor, index, confidences)?;
         sink.exit(
             Stage::SubjectExpansion,
             span,
@@ -1365,7 +1373,7 @@ impl Grbac {
         let (effective_env, decay, degraded_reason) = self.degraded_env(request);
         let environment = index
             .closures
-            .expand_set(effective_env.active().iter().copied());
+            .expand_roles(effective_env.active().iter().copied());
         self.metrics.closure_cache_misses.inc();
         sink.exit(
             Stage::EnvironmentEvaluation,
@@ -1382,69 +1390,66 @@ impl Grbac {
         //    direct roles and the object's direct roles admit.
         let span = sink.enter(Stage::CandidateMerge);
         let mut confidence_near_miss: Option<(Confidence, Confidence)> = None;
-        let (candidate_count, matched) = with_scratch(|DecideScratch { rows, matched }| {
-            let mut candidate_count = 0u64;
-            let candidates =
-                index
-                    .rules
-                    .candidates(request.transaction, subject.direct(), &object.direct, rows);
-            for position in candidates {
-                candidate_count += 1;
-                let rule = &self.rules[position];
-                let object_distance = match rule.object_role() {
-                    RoleSpec::Any => usize::MAX,
-                    RoleSpec::Is(ro) => {
-                        if !object.contains(ro) {
-                            continue;
-                        }
-                        index.closures.min_distance(&object.direct, ro)
+        let mut candidate_count = 0u64;
+        let candidates =
+            index
+                .rules
+                .candidates(request.transaction, subject.direct(), &object.direct, rows);
+        for position in candidates {
+            candidate_count += 1;
+            let rule = &self.rules[position];
+            let object_distance = match rule.object_role() {
+                RoleSpec::Any => usize::MAX,
+                RoleSpec::Is(ro) => {
+                    if !object.expanded.contains(ro) {
+                        continue;
                     }
-                };
-                if !rule
-                    .environment_roles()
-                    .iter()
-                    .all(|role| environment.contains(role))
-                {
-                    continue;
+                    index.closures.min_distance(&object.direct, ro)
                 }
-                let (subject_distance, subject_confidence) = match rule.subject_role() {
-                    RoleSpec::Any => (usize::MAX, Confidence::FULL),
-                    RoleSpec::Is(rs) => {
-                        let Some(confidence) = subject.confidence(rs) else {
-                            continue;
-                        };
-                        let confidence = confidence.scale(decay);
-                        let distance = index.closures.min_distance(subject.direct(), rs);
-                        if rule.effect() == Effect::Permit {
-                            let required =
-                                rule.min_confidence().unwrap_or(self.default_min_confidence);
-                            if !confidence.meets(required) {
-                                // Track the closest miss for the explanation.
-                                let better = confidence_near_miss
-                                    .is_none_or(|(_, achieved)| confidence > achieved);
-                                if better {
-                                    confidence_near_miss = Some((required, confidence));
-                                }
-                                continue;
-                            }
-                        }
-                        (distance, confidence)
-                    }
-                };
-                matched.push(MatchedRule {
-                    rule: rule.id(),
-                    effect: rule.effect(),
-                    position,
-                    subject_confidence,
-                    subject_distance,
-                    object_distance,
-                    constraint_count: rule.constraint_count(),
-                });
+            };
+            if !rule
+                .environment_roles()
+                .iter()
+                .all(|&role| environment.contains(role))
+            {
+                continue;
             }
-            // The decision keeps an exact-size copy; the buffer stays
-            // with the thread for the next decide.
-            (candidate_count, matched.to_vec())
-        });
+            let (subject_distance, subject_confidence) = match rule.subject_role() {
+                RoleSpec::Any => (usize::MAX, Confidence::FULL),
+                RoleSpec::Is(rs) => {
+                    let Some(confidence) = subject.confidence(rs) else {
+                        continue;
+                    };
+                    let confidence = confidence.scale(decay);
+                    let distance = index.closures.min_distance(subject.direct(), rs);
+                    if rule.effect() == Effect::Permit {
+                        let required = rule.min_confidence().unwrap_or(self.default_min_confidence);
+                        if !confidence.meets(required) {
+                            // Track the closest miss for the explanation.
+                            let better = confidence_near_miss
+                                .is_none_or(|(_, achieved)| confidence > achieved);
+                            if better {
+                                confidence_near_miss = Some((required, confidence));
+                            }
+                            continue;
+                        }
+                    }
+                    (distance, confidence)
+                }
+            };
+            matched.push(MatchedRule {
+                rule: rule.id(),
+                effect: rule.effect(),
+                position,
+                subject_confidence,
+                subject_distance,
+                object_distance,
+                constraint_count: rule.constraint_count(),
+            });
+        }
+        // The decision keeps an exact-size copy; the buffer stays with
+        // the thread for the next decide.
+        let matched = matched.to_vec();
         sink.exit(Stage::CandidateMerge, span, candidate_count);
 
         // 4. Resolve conflicts and build the decision, reusing the
@@ -1479,8 +1484,14 @@ impl Grbac {
     /// Builds the requester's role view for the compiled path,
     /// mirroring [`subject_bindings`](Self::subject_bindings) exactly:
     /// fully-trusted actors see their (cached) expansion at full
-    /// confidence, sensed actors get the identity/claim max-merge.
-    fn subject_view<'a>(&self, actor: &Actor, index: &'a CompiledIndex) -> Result<SubjectView<'a>> {
+    /// confidence, sensed actors get the identity/claim max-merge, its
+    /// confidences written into `confidences` by dense role id.
+    fn subject_view<'a>(
+        &self,
+        actor: &Actor,
+        index: &'a CompiledIndex,
+        confidences: &'a mut Vec<Confidence>,
+    ) -> Result<SubjectView<'a>> {
         match actor {
             Actor::Session(id) => {
                 let session = self.sessions.session(*id)?;
@@ -1500,15 +1511,26 @@ impl Grbac {
             }
             Actor::Sensed(ctx) => {
                 self.metrics.closure_cache_misses.inc();
-                let mut direct = BTreeSet::new();
-                let mut conf = BTreeMap::new();
+                let mut direct = RoleSet::new();
+                let mut held = RoleSet::new();
+                // An entry counts only while its role is in `held`, so
+                // the buffer is never cleared.
+                confidences.resize(index.closures.role_count(), Confidence::ZERO);
+                let mut hold = |role: RoleId, confidence: Confidence| {
+                    let slot = &mut confidences[role.as_raw() as usize];
+                    *slot = if held.insert(role) {
+                        confidence
+                    } else {
+                        (*slot).max(confidence)
+                    };
+                };
                 // Identity-derived roles inherit the identity confidence.
                 if let Some((subject, identity_conf)) = ctx.identity() {
                     if self.entities.subject(subject).is_ok() {
                         let cached = index.subject(subject);
-                        direct.extend(cached.direct.iter().copied());
-                        for &role in &cached.expanded {
-                            upgrade(&mut conf, role, identity_conf);
+                        direct.union_words(cached.direct.words());
+                        for role in cached.expanded.iter() {
+                            hold(role, identity_conf);
                         }
                     }
                 }
@@ -1519,11 +1541,15 @@ impl Grbac {
                     if index.closures.is_declared(role) {
                         direct.insert(role);
                         for implied in index.closures.closure_members(role) {
-                            upgrade(&mut conf, implied, claim_conf);
+                            hold(implied, claim_conf);
                         }
                     }
                 }
-                Ok(SubjectView::Mixed { direct, conf })
+                Ok(SubjectView::Mixed {
+                    direct,
+                    held,
+                    confidences,
+                })
             }
         }
     }
@@ -1622,13 +1648,12 @@ impl Grbac {
                 (self.default_effect, None, reason)
             }
         };
-        let subject_roles: BTreeSet<RoleId> = subject_conf.keys().copied().collect();
         Ok(Decision::new(
             effect,
             Explanation {
-                subject_roles,
-                object_roles,
-                environment_roles,
+                subject_roles: subject_conf.into_keys().collect(),
+                object_roles: object_roles.into_iter().collect(),
+                environment_roles: environment_roles.into_iter().collect(),
                 matched,
                 winner: winner_id,
                 reason,
@@ -1748,13 +1773,13 @@ impl Grbac {
         out
     }
 
-    fn role_name_list(&self, roles: &BTreeSet<RoleId>) -> String {
+    fn role_name_list(&self, roles: &RoleSet) -> String {
         if roles.is_empty() {
             return "(none)".to_owned();
         }
         roles
             .iter()
-            .map(|&id| {
+            .map(|id| {
                 self.roles
                     .role(id)
                     .map_or_else(|_| id.to_string(), |r| r.name().to_owned())
@@ -1841,14 +1866,17 @@ impl Clone for HeatSlots {
 }
 
 /// Buffers a decide reuses from the one before it on the same thread,
-/// so a steady-state candidate walk allocates nothing.
+/// so a steady-state decide allocates only what its decision keeps.
 #[derive(Default)]
 struct DecideScratch {
-    /// Posting rows for request sides that hold several direct roles.
+    /// The candidate row, and the posting rows of request sides that
+    /// hold several direct roles.
     rows: Vec<u64>,
     /// The matched rules, copied into the decision at one allocation
     /// of the exact size.
     matched: Vec<MatchedRule>,
+    /// A sensed requester's confidence per dense role id.
+    confidences: Vec<Confidence>,
 }
 
 thread_local! {
@@ -1856,6 +1884,7 @@ thread_local! {
         RefCell::new(DecideScratch {
             rows: Vec::new(),
             matched: Vec::new(),
+            confidences: Vec::new(),
         })
     };
 }
@@ -1889,10 +1918,12 @@ enum SubjectView<'a> {
     /// expansion for [`Actor::Subject`], owns a fresh one for
     /// [`Actor::Session`].
     Full(Cow<'a, CachedExpansion>),
-    /// Sensed actor: direct roles plus the max-merged confidence map.
+    /// Sensed actor: direct roles, the roles held at some confidence,
+    /// and the max-merged confidence of each held role by dense id.
     Mixed {
-        direct: BTreeSet<RoleId>,
-        conf: BTreeMap<RoleId, Confidence>,
+        direct: RoleSet,
+        held: RoleSet,
+        confidences: &'a [Confidence],
     },
 }
 
@@ -1900,8 +1931,15 @@ impl SubjectView<'_> {
     /// The confidence at which the requester holds `role`, if at all.
     fn confidence(&self, role: RoleId) -> Option<Confidence> {
         match self {
-            SubjectView::Full(expansion) => expansion.contains(role).then_some(Confidence::FULL),
-            SubjectView::Mixed { conf, .. } => conf.get(&role).copied(),
+            SubjectView::Full(expansion) => expansion
+                .expanded
+                .contains(role)
+                .then_some(Confidence::FULL),
+            SubjectView::Mixed {
+                held, confidences, ..
+            } => held
+                .contains(role)
+                .then(|| confidences[role.as_raw() as usize]),
         }
     }
 
@@ -1910,7 +1948,7 @@ impl SubjectView<'_> {
     /// roles and the claimed roles, whose closures are every role with
     /// a confidence, including those below a rule's threshold, so
     /// confidence near-misses are still found.
-    fn direct(&self) -> &BTreeSet<RoleId> {
+    fn direct(&self) -> &RoleSet {
         match self {
             SubjectView::Full(expansion) => &expansion.direct,
             SubjectView::Mixed { direct, .. } => direct,
@@ -1921,17 +1959,17 @@ impl SubjectView<'_> {
     fn role_count(&self) -> usize {
         match self {
             SubjectView::Full(expansion) => expansion.expanded.len(),
-            SubjectView::Mixed { conf, .. } => conf.len(),
+            SubjectView::Mixed { held, .. } => held.len(),
         }
     }
 
     /// The expanded role set for the explanation, reusing the already
     /// computed expansion instead of rebuilding it per request.
-    fn into_roles(self) -> BTreeSet<RoleId> {
+    fn into_roles(self) -> RoleSet {
         match self {
             SubjectView::Full(Cow::Borrowed(expansion)) => expansion.expanded.clone(),
             SubjectView::Full(Cow::Owned(expansion)) => expansion.expanded,
-            SubjectView::Mixed { conf, .. } => conf.keys().copied().collect(),
+            SubjectView::Mixed { held, .. } => held,
         }
     }
 }

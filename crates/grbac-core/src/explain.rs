@@ -6,14 +6,13 @@
 //! with what confidence), which rules matched, which rule won and under
 //! which conflict-resolution strategy.
 
-use std::collections::BTreeSet;
-
 use serde::{Deserialize, Serialize};
 
 use crate::confidence::Confidence;
 use crate::degraded::DegradedReason;
-use crate::id::{RoleId, RuleId};
+use crate::id::RuleId;
 use crate::precedence::ConflictStrategy;
+use crate::roleset::RoleSet;
 use crate::rule::Effect;
 
 /// A rule that matched a request, with the bindings that made it match.
@@ -69,11 +68,11 @@ pub enum Reason {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Explanation {
     /// Hierarchy-expanded subject roles the requester was found to hold.
-    pub subject_roles: BTreeSet<RoleId>,
+    pub subject_roles: RoleSet,
     /// Hierarchy-expanded roles of the target object.
-    pub object_roles: BTreeSet<RoleId>,
+    pub object_roles: RoleSet,
     /// Hierarchy-expanded environment roles active during the request.
-    pub environment_roles: BTreeSet<RoleId>,
+    pub environment_roles: RoleSet,
     /// Every rule that matched, in policy order.
     pub matched: Vec<MatchedRule>,
     /// The rule that carried the decision, if any.
@@ -208,9 +207,9 @@ mod tests {
 
     fn sample_explanation() -> Explanation {
         Explanation {
-            subject_roles: BTreeSet::new(),
-            object_roles: BTreeSet::new(),
-            environment_roles: BTreeSet::new(),
+            subject_roles: RoleSet::new(),
+            object_roles: RoleSet::new(),
+            environment_roles: RoleSet::new(),
             matched: Vec::new(),
             winner: None,
             reason: Reason::DefaultDecision,
@@ -252,6 +251,29 @@ mod tests {
             .replace(",\"degraded\":null", "");
         let back: Decision = serde_json::from_str(&legacy).unwrap();
         assert!(!back.is_degraded());
+    }
+
+    /// A decision with non-empty role sets on all three sides, one of
+    /// them past 128 roles, as serialized when the sets were
+    /// `BTreeSet<RoleId>`: it must load and write back byte for byte.
+    const ROLE_SET_DECISION: &str = concat!(
+        r#"{"effect":"Permit","explanation":{"subject_roles":[0,1,3,70,129],"#,
+        r#""object_roles":[5,64],"environment_roles":[9,12],"matched":[{"rule":7,"#,
+        r#""effect":"Permit","position":2,"subject_confidence":0.75,"subject_distance":1,"#,
+        r#""object_distance":0,"constraint_count":3}],"winner":7,"#,
+        r#""reason":{"ResolvedBy":"DenyOverrides"}},"#,
+        r#""degraded":{"StaleDecayed":{"age":40,"decay":0.5}},"decision_id":{"epoch":0,"seq":0}}"#
+    );
+
+    #[test]
+    fn role_set_serialized_format_is_unchanged() {
+        let decision: Decision = serde_json::from_str(ROLE_SET_DECISION).unwrap();
+        let explanation = decision.explanation();
+        let raws = |set: &RoleSet| set.iter().map(|r| r.as_raw()).collect::<Vec<_>>();
+        assert_eq!(raws(&explanation.subject_roles), [0, 1, 3, 70, 129]);
+        assert_eq!(raws(&explanation.object_roles), [5, 64]);
+        assert_eq!(raws(&explanation.environment_roles), [9, 12]);
+        assert_eq!(serde_json::to_string(&decision).unwrap(), ROLE_SET_DECISION);
     }
 
     #[test]

@@ -21,13 +21,17 @@
 //!   specializes, as subject or object role), a row per transaction,
 //!   and a row per `Any` wildcard. Because a role's row already holds
 //!   what its generalizations are authorized for, a request's
-//!   candidates are one fused word-by-word AND of its transaction's
-//!   rows and the rows of its *direct* subject and object roles —
-//!   [`RuleIndex::candidates`], with no per-request union over the
-//!   expanded roles — walked in ascending position so conflict
-//!   resolution sees the same sequence the naive scan produces;
-//! * [`CachedExpansion`] — hierarchy-expanded role sets (as both
-//!   `BTreeSet` and bitset) for every assigned subject and object.
+//!   candidates are `(t | t_any) & (s | s_any) & (o | o_any)` over its
+//!   transaction's rows and the rows of its *direct* subject and object
+//!   roles, computed for every word in one loop over equal-length
+//!   slices into a scratch row — [`RuleIndex::candidates`], with no
+//!   per-request union over the expanded roles — whose set bits are
+//!   then walked in ascending position so conflict resolution sees the
+//!   same sequence the naive scan produces;
+//! * [`CachedExpansion`] — the direct and the hierarchy-expanded role
+//!   set, both [`RoleSet`] bitsets, of every assigned subject and
+//!   object. A request's environment is expanded the same way, by
+//!   ORing the closure rows of its active roles into a [`RoleSet`].
 //!
 //! The index is **derived state**: it is maintained lazily (behind
 //! [`IndexCell`]) whenever the engine's generation counter says roles,
@@ -66,6 +70,7 @@ use crate::delta::PolicyDelta;
 use crate::hierarchy::RoleHierarchy;
 use crate::id::{ObjectId, RoleId, SubjectId, TransactionId};
 use crate::role::RoleCatalog;
+use crate::roleset::{RoleSet, SetBits};
 use crate::rule::{RoleSpec, Rule, TransactionSpec};
 use crate::telemetry::MetricsRegistry;
 
@@ -131,6 +136,11 @@ impl RoleClosures {
             );
         }
         closures
+    }
+
+    /// The closure bitset of dense role `raw`.
+    fn closure_row(&self, raw: usize) -> &[u64] {
+        &self.closure_bits[raw * self.words..(raw + 1) * self.words]
     }
 
     /// Installs a freshly-derived ancestor row, rewriting the role's
@@ -226,10 +236,10 @@ impl RoleClosures {
     /// Shortest upward distance from any role in `direct` to `target`
     /// (`usize::MAX` when unrelated), mirroring the naive
     /// `min_distance` helper.
-    pub(crate) fn min_distance(&self, direct: &BTreeSet<RoleId>, target: RoleId) -> usize {
+    pub(crate) fn min_distance(&self, direct: &RoleSet, target: RoleId) -> usize {
         direct
             .iter()
-            .filter_map(|&held| self.distance_up(held, target))
+            .filter_map(|held| self.distance_up(held, target))
             .min()
             .unwrap_or(usize::MAX)
     }
@@ -249,74 +259,48 @@ impl RoleClosures {
         })
     }
 
-    /// Hierarchy-expands `roles` into a sorted set only, skipping
-    /// undeclared ids: the per-request environment expansion, which
-    /// needs neither the direct set nor a bitset.
-    pub(crate) fn expand_set(&self, roles: impl IntoIterator<Item = RoleId>) -> BTreeSet<RoleId> {
-        let mut expanded = BTreeSet::new();
+    /// Hierarchy-expands `roles`, skipping undeclared ids: the closure
+    /// rows of the declared ones ORed into one set. This is the
+    /// per-request environment expansion.
+    pub(crate) fn expand_roles(&self, roles: impl IntoIterator<Item = RoleId>) -> RoleSet {
+        let mut expanded = RoleSet::new();
         for role in roles {
-            expanded.extend(self.closure_members(role));
+            if self.is_declared(role) {
+                expanded.union_words(self.closure_row(role.as_raw() as usize));
+            }
         }
         expanded
     }
 
-    /// Hierarchy-expands `roles` into a sorted set and a bitset,
+    /// The declared roles of `roles` and their hierarchy expansion,
     /// skipping undeclared ids exactly like
     /// [`RoleCatalog::expand`](crate::role::RoleCatalog::expand).
     pub(crate) fn expand(&self, roles: impl IntoIterator<Item = RoleId>) -> CachedExpansion {
-        let mut direct = BTreeSet::new();
-        let mut bits = vec![0u64; self.words];
-        for role in roles {
-            if !self.is_declared(role) {
-                continue;
-            }
-            direct.insert(role);
-            let raw = role.as_raw() as usize;
-            for (word, row_word) in bits
-                .iter_mut()
-                .zip(&self.closure_bits[raw * self.words..(raw + 1) * self.words])
-            {
-                *word |= row_word;
-            }
-        }
-        let mut expanded = BTreeSet::new();
-        for (index, &word) in bits.iter().enumerate() {
-            let mut remaining = word;
-            while remaining != 0 {
-                let bit = remaining.trailing_zeros() as u64;
-                expanded.insert(RoleId::from_raw(index as u64 * 64 + bit));
-                remaining &= remaining - 1;
-            }
-        }
-        CachedExpansion {
-            direct,
-            expanded,
-            bits,
-        }
+        let direct: RoleSet = roles
+            .into_iter()
+            .filter(|&role| self.is_declared(role))
+            .collect();
+        let expanded = self.expand_roles(direct.iter());
+        CachedExpansion { direct, expanded }
     }
 }
 
-/// A role set with its hierarchy expansion, in both ordered-set form
-/// (for explanations, confidence lookups and posting unions) and
-/// bitset form (for membership tests).
+/// A role set with its hierarchy expansion, both as bitsets over the
+/// dense role space.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct CachedExpansion {
     /// The direct (unexpanded) roles.
-    pub(crate) direct: BTreeSet<RoleId>,
+    pub(crate) direct: RoleSet,
     /// The upward closure of `direct`.
-    pub(crate) expanded: BTreeSet<RoleId>,
-    /// `expanded` as a bitset over the dense role space.
-    pub(crate) bits: Vec<u64>,
+    pub(crate) expanded: RoleSet,
 }
 
-impl CachedExpansion {
-    /// True if the expansion contains `role`.
-    pub(crate) fn contains(&self, role: RoleId) -> bool {
-        let raw = role.as_raw() as usize;
-        let word = raw / 64;
-        word < self.bits.len() && self.bits[word] & (1 << (raw % 64)) != 0
-    }
-}
+/// The expansion of an entity with no assignments, so lookups are
+/// infallible.
+static NO_ROLES: CachedExpansion = CachedExpansion {
+    direct: RoleSet::new(),
+    expanded: RoleSet::new(),
+};
 
 /// Row of the rules whose subject spec is `Any`.
 const SUBJECT_ANY: usize = 0;
@@ -615,40 +599,47 @@ impl RuleIndex {
     /// Environment guards and confidence thresholds are left to the
     /// caller's per-rule checks.
     ///
-    /// A side with one direct role reads that role's row in place; a
-    /// side with several ORs their rows into `scratch`, which the
-    /// caller keeps across walks so a steady-state walk allocates
-    /// nothing.
+    /// The intersection is computed for every word in one loop into a
+    /// row of `scratch`, whose set bits are then walked. A side with
+    /// one direct role reads that role's row in place; a side with
+    /// several ORs their rows into two more rows of `scratch`. The
+    /// caller keeps `scratch` across walks, so a steady-state walk
+    /// allocates nothing.
     pub(crate) fn candidates<'a>(
         &'a self,
         transaction: TransactionId,
-        subject_roles: &BTreeSet<RoleId>,
-        object_roles: &BTreeSet<RoleId>,
+        subject_roles: &RoleSet,
+        object_roles: &RoleSet,
         scratch: &'a mut Vec<u64>,
-    ) -> Candidates<'a> {
-        scratch.resize(2 * self.words, 0);
-        let (subject_scratch, object_scratch) = scratch.split_at_mut(self.words);
+    ) -> SetBits<'a> {
+        scratch.resize(3 * self.words, 0);
+        let (candidates, sides) = scratch.split_at_mut(self.words);
+        let (subject_scratch, object_scratch) = sides.split_at_mut(self.words);
         let transaction_row = self
             .transaction_row(TransactionSpec::Is(transaction))
             .unwrap_or(TRANSACTION_ANY);
-        Candidates::new([
-            self.row(transaction_row),
-            self.row(TRANSACTION_ANY),
-            self.side(subject_roles, subject_scratch)
-                .unwrap_or(self.row(SUBJECT_ANY)),
-            self.row(SUBJECT_ANY),
-            self.side(object_roles, object_scratch)
-                .unwrap_or(self.row(OBJECT_ANY)),
-            self.row(OBJECT_ANY),
-        ])
+        intersect(
+            candidates,
+            [
+                self.row(transaction_row),
+                self.row(TRANSACTION_ANY),
+                self.side(subject_roles, subject_scratch)
+                    .unwrap_or(self.row(SUBJECT_ANY)),
+                self.row(SUBJECT_ANY),
+                self.side(object_roles, object_scratch)
+                    .unwrap_or(self.row(OBJECT_ANY)),
+                self.row(OBJECT_ANY),
+            ],
+        );
+        SetBits::new(candidates)
     }
 
     /// The union of the closure rows of `roles`: one row read in place,
     /// or several ORed into `scratch`. `None` when no role has a row.
-    fn side<'a>(&'a self, roles: &BTreeSet<RoleId>, scratch: &'a mut [u64]) -> Option<&'a [u64]> {
+    fn side<'a>(&'a self, roles: &RoleSet, scratch: &'a mut [u64]) -> Option<&'a [u64]> {
         let mut rows = roles
             .iter()
-            .filter_map(|&role| self.role_row(RoleSpec::Is(role), SUBJECT_ANY));
+            .filter_map(|role| self.role_row(RoleSpec::Is(role), SUBJECT_ANY));
         let first = rows.next()?;
         let Some(second) = rows.next() else {
             return Some(self.row(first));
@@ -695,54 +686,14 @@ fn remove_bit(row: &mut [u64], position: usize) {
     }
 }
 
-/// The candidate positions of one request, ascending: each word is
-/// `(t | t_any) & (s | s_any) & (o | o_any)` over six equal-length
-/// rows, computed as the walk reaches it.
-pub(crate) struct Candidates<'a> {
-    /// Transaction, transaction `Any`, subject, subject `Any`, object,
-    /// object `Any`.
-    rows: [&'a [u64]; 6],
-    /// The word `rest` was taken from.
-    word: usize,
-    /// The not yet visited bits of word `word`.
-    rest: u64,
-}
-
-impl<'a> Candidates<'a> {
-    fn new(rows: [&'a [u64]; 6]) -> Self {
-        let mut walk = Self {
-            rows,
-            word: 0,
-            rest: 0,
-        };
-        walk.rest = walk.bits(0);
-        walk
-    }
-
-    /// Word `word` of the intersection; 0 past the end.
-    fn bits(&self, word: usize) -> u64 {
-        let [t, t_any, s, s_any, o, o_any] = self.rows;
-        if word >= t.len() {
-            return 0;
-        }
-        (t[word] | t_any[word]) & (s[word] | s_any[word]) & (o[word] | o_any[word])
-    }
-}
-
-impl Iterator for Candidates<'_> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        while self.rest == 0 {
-            self.word += 1;
-            if self.word >= self.rows[0].len() {
-                return None;
-            }
-            self.rest = self.bits(self.word);
-        }
-        let bit = self.rest.trailing_zeros() as usize;
-        self.rest &= self.rest - 1;
-        Some(self.word * 64 + bit)
+/// Writes `(t | t_any) & (s | s_any) & (o | o_any)` into `out`, word
+/// by word; the six rows are as long as `out`. Every operand is cut to
+/// one length first, so the loop runs without bounds checks.
+fn intersect(out: &mut [u64], rows: [&[u64]; 6]) {
+    let n = out.len();
+    let [t, t_any, s, s_any, o, o_any] = rows.map(|row| &row[..n]);
+    for i in 0..n {
+        out[i] = (t[i] | t_any[i]) & (s[i] | s_any[i]) & (o[i] | o_any[i]);
     }
 }
 
@@ -756,9 +707,6 @@ pub(crate) struct CompiledIndex {
     pub(crate) rules: Arc<RuleIndex>,
     pub(crate) subjects: Arc<HashMap<u64, CachedExpansion>>,
     pub(crate) objects: Arc<HashMap<u64, CachedExpansion>>,
-    /// Returned for entities with no assignments, so lookups are
-    /// infallible and bitset-sized correctly.
-    empty: CachedExpansion,
 }
 
 /// Past this many dirty closure rows, recomputing the affected region
@@ -778,17 +726,11 @@ impl CompiledIndex {
             .objects_with_roles()
             .map(|(id, roles)| (id.as_raw(), closures.expand(roles.iter().copied())))
             .collect();
-        let empty = CachedExpansion {
-            direct: BTreeSet::new(),
-            expanded: BTreeSet::new(),
-            bits: vec![0u64; closures.words()],
-        };
         Self {
             closures: Arc::new(closures),
             rules: Arc::new(rule_index),
             subjects: Arc::new(subjects),
             objects: Arc::new(objects),
-            empty,
         }
     }
 
@@ -910,18 +852,17 @@ impl CompiledIndex {
             rules,
             subjects,
             objects,
-            empty: self.empty.clone(),
         })
     }
 
     /// The cached expansion of a subject's authorized role set.
     pub(crate) fn subject(&self, id: SubjectId) -> &CachedExpansion {
-        self.subjects.get(&id.as_raw()).unwrap_or(&self.empty)
+        self.subjects.get(&id.as_raw()).unwrap_or(&NO_ROLES)
     }
 
     /// The cached expansion of an object's role set.
     pub(crate) fn object(&self, id: ObjectId) -> &CachedExpansion {
-        self.objects.get(&id.as_raw()).unwrap_or(&self.empty)
+        self.objects.get(&id.as_raw()).unwrap_or(&NO_ROLES)
     }
 
     /// Publishes the index's shape into the registry's gauges.
@@ -1100,13 +1041,11 @@ mod tests {
         for role in [home_user, family, parent, device] {
             let expansion = closures.expand([role]);
             assert_eq!(
-                expansion.expanded,
+                expansion.expanded.iter().collect::<BTreeSet<_>>(),
                 catalog.expand(&BTreeSet::from([role])),
                 "closure mismatch for {role}"
             );
-            for member in &expansion.expanded {
-                assert!(expansion.contains(*member));
-            }
+            assert_eq!(closures.expand_roles([role]), expansion.expanded);
         }
     }
 
@@ -1136,11 +1075,15 @@ mod tests {
         let (catalog, [_, family, ..]) = catalog_with_chain();
         let closures = RoleClosures::build(&catalog);
         let expansion = closures.expand([family, RoleId::from_raw(77)]);
-        assert!(!expansion.direct.contains(&RoleId::from_raw(77)));
-        assert!(!expansion.contains(RoleId::from_raw(77)));
+        assert_eq!(expansion.direct, RoleSet::from_iter([family]));
+        assert!(!expansion.expanded.contains(RoleId::from_raw(77)));
         assert_eq!(
-            expansion.expanded,
+            expansion.expanded.iter().collect::<BTreeSet<_>>(),
             catalog.expand(&BTreeSet::from([family, RoleId::from_raw(77)]))
+        );
+        assert_eq!(
+            closures.expand_roles([family, RoleId::from_raw(77)]),
+            expansion.expanded
         );
     }
 
@@ -1153,10 +1096,9 @@ mod tests {
         row
     }
 
-    /// The set bits of `bits`, ascending: a candidate walk whose six
-    /// rows are all `bits`.
+    /// The set bits of `bits`, ascending.
     fn set_bits(bits: &[u64]) -> Vec<usize> {
-        Candidates::new([bits; 6]).collect()
+        SetBits::new(bits).collect()
     }
 
     #[test]
@@ -1198,8 +1140,9 @@ mod tests {
         let (t, t_any) = ([0b0011u64, 1 << 5], [0b0100u64, 0]);
         let (s, s_any) = ([0b0001u64, 1 << 5], [0b0100u64, 0]);
         let (o, o_any) = ([0u64, 0], [0b0111u64, 1 << 5]);
-        let walk: Vec<usize> = Candidates::new([&t, &t_any, &s, &s_any, &o, &o_any]).collect();
-        assert_eq!(walk, vec![0, 2, 69]);
+        let mut out = [0u64; 2];
+        intersect(&mut out, [&t, &t_any, &s, &s_any, &o, &o_any]);
+        assert_eq!(set_bits(&out), vec![0, 2, 69]);
     }
 
     type Specs = (RoleSpec, RoleSpec, TransactionSpec);

@@ -63,6 +63,7 @@
 //! | [`role`], [`hierarchy`] | §4.2.1–4.2.3, Fig. 2 | roles of three kinds, specialization DAGs |
 //! | [`entity`] | Fig. 1 | subjects, objects, transactions |
 //! | [`assignment`] | Fig. 1 | authorized role sets |
+//! | [`roleset`] | §4.2.4 | role sets as bitsets over the dense role-id space |
 //! | [`session`] | §4.1.2 | role activation |
 //! | [`sod`] | §4.1.2 | static/dynamic separation of duty |
 //! | [`rule`], [`environment`] | §4.2.4 | authorization rules, env snapshots |
@@ -98,6 +99,7 @@ mod index;
 pub mod precedence;
 pub mod provenance;
 pub mod role;
+pub mod roleset;
 pub mod rule;
 pub mod serde_pairs;
 pub mod session;
@@ -118,6 +120,7 @@ pub use provenance::{
     decision_story, DecisionStory, FlightRecorder, ForensicQuery, ProvenanceRecord, ReplayReport,
 };
 pub use role::RoleKind;
+pub use roleset::RoleSet;
 pub use rule::{Effect, Rule, RuleDef};
 pub use telemetry::{
     AlertKind, AlertRecord, DecisionTrace, DecisionWatchdog, EventBus, EventData, EventFilter,

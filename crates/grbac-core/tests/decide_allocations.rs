@@ -5,24 +5,25 @@
 //! requests with its default sinks: the flight recorder, rule heat,
 //! the event bus and 1-in-8 latency sampling.
 //!
-//! A decide allocates what its [`Decision`](grbac_core::Decision)
-//! carries (the explanation's role sets and matched-rule list) and, on
-//! a sampled decide, the trace's stage list. Candidate selection, the
-//! environment stage and the record step allocate nothing: the walk
-//! reads closure rows in place, and the recorder writes each record
-//! into the slot it evicts. A sensed requester adds its role and
-//! confidence maps. Allocations creeping back in fail here, with or
-//! without the `telemetry-off` feature.
+//! A decide allocates the matched-rule list its
+//! [`Decision`](grbac_core::Decision) carries and, on a sampled
+//! decide, the trace's stage list. The explanation's role sets are
+//! inline bitsets ([`RoleSet`](grbac_core::RoleSet)), and candidate
+//! selection, the environment stage, a session's or a sensed
+//! requester's role view and the record step allocate nothing: the
+//! walk reads closure rows into the thread's scratch row, a sensed
+//! requester's confidences go into a scratch buffer, and the recorder
+//! writes each record into the slot it evicts. Allocations creeping
+//! back in fail here, for trusted-subject, sensed and session
+//! requesters, with or without the `telemetry-off` feature.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use grbac_core::prelude::*;
 
-/// Mean allocations a trusted-subject decide may make.
-const TRUSTED_BUDGET: f64 = 4.0;
-/// Mean allocations a sensed decide may make.
-const SENSED_BUDGET: f64 = 8.0;
+/// Mean allocations a decide may make, whoever the requester.
+const BUDGET: f64 = 2.0;
 
 /// Requests per measured pass; more than the recorder retains, so the
 /// warm-up pass leaves its ring full and every measured record evicts.
@@ -89,13 +90,24 @@ struct Policy {
     subject_roles: Vec<RoleId>,
     env_roles: Vec<RoleId>,
     subjects: Vec<SubjectId>,
+    /// One session per subject, every assigned role active.
+    sessions: Vec<SessionId>,
     objects: Vec<ObjectId>,
     transactions: Vec<TransactionId>,
 }
 
+/// Who makes the requests of one measured pass.
+#[derive(Clone, Copy)]
+enum Requester {
+    Trusted,
+    Sensed,
+    Session,
+}
+
 /// 16 subject roles in chains of four, 8 object roles in chains of
 /// two, 6 environment roles in chains of three; subjects and objects
-/// hold one or two roles; 320 rules, a fifth of them deny and a third
+/// hold one or two roles, and each subject has a session with all of
+/// its roles active; 320 rules, a fifth of them deny and a third
 /// guarded by an environment role.
 fn policy() -> Policy {
     let mut engine = Grbac::new();
@@ -140,6 +152,16 @@ fn policy() -> Policy {
                 .unwrap();
         }
     }
+    let sessions: Vec<SessionId> = subjects
+        .iter()
+        .map(|&subject| {
+            let session = engine.open_session(subject).unwrap();
+            for role in engine.assignments().subject_roles(subject) {
+                engine.activate_role(session, role).unwrap();
+            }
+            session
+        })
+        .collect();
     for (i, &object) in objects.iter().enumerate() {
         engine.assign_object_role(object, object_roles[i]).unwrap();
         if i % 4 == 1 {
@@ -173,6 +195,7 @@ fn policy() -> Policy {
         subject_roles,
         env_roles,
         subjects,
+        sessions,
         objects,
         transactions,
     }
@@ -180,27 +203,43 @@ fn policy() -> Policy {
 
 /// `REQUESTS` requests with up to two active environment roles; sensed
 /// ones carry their subject's identity at 0.75 confidence plus one
-/// role claim at 0.98, against the 0.9 permit threshold.
-fn requests(policy: &Policy, sensed: bool) -> Vec<AccessRequest> {
-    let mut stream = Stream(if sensed { 0x2545_f491 } else { 0x4f6c_dd1d });
+/// role claim at 0.98, against the 0.9 permit threshold; session ones
+/// act through the subject's session.
+fn requests(policy: &Policy, requester: Requester) -> Vec<AccessRequest> {
+    let mut stream = Stream(match requester {
+        Requester::Trusted => 0x4f6c_dd1d,
+        Requester::Sensed => 0x2545_f491,
+        Requester::Session => 0x1b87_3593,
+    });
     (0..REQUESTS)
         .map(|_| {
-            let subject = policy.subjects[stream.below(policy.subjects.len())];
+            let pick = stream.below(policy.subjects.len());
             let transaction = policy.transactions[stream.below(policy.transactions.len())];
             let object = policy.objects[stream.below(policy.objects.len())];
             let environment = EnvironmentSnapshot::from_active(
                 (0..stream.below(3)).map(|_| policy.env_roles[stream.below(6)]),
             );
-            if !sensed {
-                return AccessRequest::by_subject(subject, transaction, object, environment);
+            let subject = policy.subjects[pick];
+            match requester {
+                Requester::Trusted => {
+                    AccessRequest::by_subject(subject, transaction, object, environment)
+                }
+                Requester::Session => AccessRequest::by_session(
+                    policy.sessions[pick],
+                    transaction,
+                    object,
+                    environment,
+                ),
+                Requester::Sensed => {
+                    let mut context = AuthContext::new();
+                    context.claim_identity(subject, Confidence::new(0.75).unwrap());
+                    context.claim_role(
+                        policy.subject_roles[stream.below(16)],
+                        Confidence::new(0.98).unwrap(),
+                    );
+                    AccessRequest::by_sensed(context, transaction, object, environment)
+                }
             }
-            let mut context = AuthContext::new();
-            context.claim_identity(subject, Confidence::new(0.75).unwrap());
-            context.claim_role(
-                policy.subject_roles[stream.below(16)],
-                Confidence::new(0.98).unwrap(),
-            );
-            AccessRequest::by_sensed(context, transaction, object, environment)
         })
         .collect()
 }
@@ -220,14 +259,17 @@ fn per_decide(engine: &Grbac, requests: &[AccessRequest]) -> f64 {
 }
 
 #[test]
-fn steady_state_decides_stay_within_their_allocation_budgets() {
+fn steady_state_decides_stay_within_their_allocation_budget() {
     let policy = policy();
     assert_eq!(policy.engine.rules().len(), 320);
-    let trusted = requests(&policy, false);
-    let sensed = requests(&policy, true);
-    let matched: usize = trusted
+    let passes = [
+        ("trusted subject", requests(&policy, Requester::Trusted)),
+        ("sensed", requests(&policy, Requester::Sensed)),
+        ("session", requests(&policy, Requester::Session)),
+    ];
+    let matched: usize = passes
         .iter()
-        .chain(&sensed)
+        .flat_map(|(_, requests)| requests)
         .map(|request| {
             let decision = policy.engine.decide(request).unwrap();
             assert_eq!(decision, policy.engine.decide_naive(request).unwrap());
@@ -236,20 +278,23 @@ fn steady_state_decides_stay_within_their_allocation_budgets() {
         .sum();
     assert!(matched > 0, "the requests must reach rules");
 
-    let trusted_allocations = per_decide(&policy.engine, &trusted);
-    let sensed_allocations = per_decide(&policy.engine, &sensed);
+    let measured: Vec<(&str, f64)> = passes
+        .iter()
+        .map(|(requester, requests)| (*requester, per_decide(&policy.engine, requests)))
+        .collect();
+    let report: Vec<String> = measured
+        .iter()
+        .map(|(requester, allocations)| format!("{requester} {allocations:.2}"))
+        .collect();
     eprintln!(
-        "allocations per decide: trusted subject {trusted_allocations:.2}, \
-         sensed {sensed_allocations:.2}; mean matched rules {:.2}",
-        matched as f64 / (trusted.len() + sensed.len()) as f64
+        "allocations per decide: {}; mean matched rules {:.2}",
+        report.join(", "),
+        matched as f64 / (passes.len() * REQUESTS) as f64
     );
-    assert!(
-        trusted_allocations <= TRUSTED_BUDGET,
-        "a trusted-subject decide makes {trusted_allocations:.2} allocations \
-         (budget {TRUSTED_BUDGET})"
-    );
-    assert!(
-        sensed_allocations <= SENSED_BUDGET,
-        "a sensed decide makes {sensed_allocations:.2} allocations (budget {SENSED_BUDGET})"
-    );
+    for (requester, allocations) in measured {
+        assert!(
+            allocations <= BUDGET,
+            "a {requester} decide makes {allocations:.2} allocations (budget {BUDGET})"
+        );
+    }
 }

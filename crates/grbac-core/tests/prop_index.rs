@@ -34,6 +34,18 @@ fn random_confidence(rng: &mut StdRng) -> Confidence {
 fn build_model(rng: &mut StdRng) -> Model {
     let mut g = Grbac::new();
 
+    // A share of cases declares unused roles first, so the roles below
+    // straddle the 64-role word boundary of the closure rows and role
+    // sets, or the 128 roles a role set holds inline.
+    let padding = match rng.gen_range(0..10u32) {
+        0 | 1 => rng.gen_range(50..64usize),
+        2 | 3 => rng.gen_range(115..128usize),
+        _ => 0,
+    };
+    for i in 0..padding {
+        g.declare_subject_role(format!("pad{i}")).unwrap();
+    }
+
     let subject_roles: Vec<RoleId> = (0..rng.gen_range(1..=6usize))
         .map(|i| g.declare_subject_role(format!("sr{i}")).unwrap())
         .collect();
