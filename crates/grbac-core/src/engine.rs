@@ -308,17 +308,21 @@ impl Grbac {
     /// Marks decision-relevant state as changed so the next mediation
     /// advances the compiled index, recording the typed delta that lets
     /// the advance patch only the touched shards instead of rebuilding.
+    /// The current index is only moved aside here; the advance that
+    /// patches from it drops it, so an edit never pays for that.
     fn touch(&mut self, delta: PolicyDelta) {
+        self.index.reset();
         self.generation = self.generation.wrapping_add(1);
         self.deltas.record(self.generation, delta);
     }
 
-    /// The compiled index for the current generation. A stale cached
-    /// index is patched forward through the recorded deltas when the
+    /// The compiled index for the current generation, borrowed: no
+    /// mutation can run while the borrow lives. The index the last edit
+    /// retired is patched forward through the recorded deltas when the
     /// log still covers the gap and the damage is narrow enough;
     /// otherwise (cold cell, trimmed history, widened bitsets, wide
     /// damage) it is rebuilt from scratch.
-    fn compiled(&self) -> Arc<CompiledIndex> {
+    fn compiled(&self) -> &CompiledIndex {
         self.index
             .get_or_advance(self.generation, &self.metrics, |stale| {
                 // Claim the heat slots before a first build, so the 1 MB
@@ -365,6 +369,7 @@ impl Grbac {
     /// E14); never needed in normal operation.
     #[doc(hidden)]
     pub fn invalidate_index(&mut self) {
+        self.index.reset();
         self.generation = self.generation.wrapping_add(1);
         self.deltas.reset(self.generation);
     }
@@ -376,9 +381,8 @@ impl Grbac {
     #[doc(hidden)]
     #[must_use]
     pub fn compiled_matches_rebuild(&self) -> bool {
-        let current = self.compiled();
         let fresh = CompiledIndex::build(&self.roles, &self.assignments, &self.rules);
-        *current == fresh
+        *self.compiled() == fresh
     }
 
     pub(crate) fn delegation(&self) -> &crate::delegation::DelegationState {
@@ -1002,8 +1006,7 @@ impl Grbac {
     ///
     /// Unknown session/subject/object/transaction ids in the request.
     pub fn decide(&self, request: &AccessRequest) -> Result<Decision> {
-        let index = self.compiled();
-        self.decide_recorded(request, &index)
+        self.decide_recorded(request, self.compiled())
     }
 
     /// Mediates a request and records a stage-by-stage
@@ -1021,12 +1024,12 @@ impl Grbac {
     pub fn decide_traced(&self, request: &AccessRequest) -> Result<(Decision, DecisionTrace)> {
         let index = self.compiled();
         let id = self.decision_ids.mint();
-        self.decide_sampled(request, &index, id, Instant::now())
+        self.decide_sampled(request, index, id, Instant::now())
     }
 
-    /// Mediates a batch of requests against one snapshot of the
-    /// compiled index, amortizing the generation check and (with the
-    /// `parallel` feature) fanning the work across OS threads.
+    /// Mediates a batch of requests against one borrow of the compiled
+    /// index, fetched once for the whole batch, and (with the
+    /// `parallel` feature) fans the work across OS threads.
     ///
     /// Results are returned in request order; each element is exactly
     /// what [`decide`](Self::decide) would have returned for that
@@ -1043,7 +1046,6 @@ impl Grbac {
             // Below ~32 requests the spawn overhead dominates.
             if threads > 1 && requests.len() >= 32 {
                 let chunk = requests.len().div_ceil(threads);
-                let index = &index;
                 return std::thread::scope(|scope| {
                     let workers: Vec<_> = requests
                         .chunks(chunk)
@@ -1064,7 +1066,7 @@ impl Grbac {
         }
         requests
             .iter()
-            .map(|request| self.decide_recorded(request, &index))
+            .map(|request| self.decide_recorded(request, index))
             .collect()
     }
 
@@ -2407,6 +2409,41 @@ mod tests {
                 EnvironmentSnapshot::new()
             ))
             .is_err());
+    }
+
+    #[test]
+    fn unknown_ids_name_their_kind() {
+        let (mut g, f) = section51();
+        // Declared but never assigned: known, with no roles.
+        let guest = g.declare_subject("guest").unwrap();
+        let lamp = g.declare_object("lamp").unwrap();
+        let env = EnvironmentSnapshot::new;
+        for (subject, object) in [(guest, f.tv), (f.bobby, lamp)] {
+            let decision = g
+                .decide(&AccessRequest::by_subject(subject, f.use_t, object, env()))
+                .unwrap();
+            assert_eq!(decision.explanation().reason, Reason::DefaultDecision);
+        }
+        // Ids next to the minted ones, far past them, and at the top of
+        // the id space.
+        for raw in [3, 99, u64::MAX] {
+            let subject = SubjectId::from_raw(raw);
+            let object = ObjectId::from_raw(raw);
+            let transaction = TransactionId::from_raw(raw);
+            let decide = |s, t, o| g.decide(&AccessRequest::by_subject(s, t, o, env()));
+            assert!(matches!(
+                decide(subject, f.use_t, f.tv),
+                Err(GrbacError::UnknownSubject(id)) if id == subject
+            ));
+            assert!(matches!(
+                decide(f.bobby, f.use_t, object),
+                Err(GrbacError::UnknownObject(id)) if id == object
+            ));
+            assert!(matches!(
+                decide(f.bobby, transaction, f.tv),
+                Err(GrbacError::UnknownTransaction(id)) if id == transaction
+            ));
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use serde::{Deserialize, Serialize};
 
 use crate::error::{GrbacError, Result};
-use crate::id::{IdAllocator, ObjectId, SubjectId, TransactionId};
+use crate::id::{IdAllocator, IdMap, ObjectId, SubjectId, TransactionId};
 
 /// A user of the system.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -79,17 +79,19 @@ impl Transaction {
 /// Catalog of declared subjects, objects and transactions.
 ///
 /// Names are unique per entity class; ids are dense and allocated per
-/// class so the catalogs stay independent.
+/// class so the catalogs stay independent. The id-keyed maps, looked up
+/// on every decide, hash with a multiplicative hasher instead of SipHash:
+/// only the catalog's allocators mint their keys.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct EntityCatalog {
     #[serde(with = "crate::serde_pairs::hash")]
-    subjects: HashMap<SubjectId, Subject>,
+    subjects: IdMap<SubjectId, Subject>,
     subjects_by_name: HashMap<String, SubjectId>,
     #[serde(with = "crate::serde_pairs::hash")]
-    objects: HashMap<ObjectId, Object>,
+    objects: IdMap<ObjectId, Object>,
     objects_by_name: HashMap<String, ObjectId>,
     #[serde(with = "crate::serde_pairs::hash")]
-    transactions: HashMap<TransactionId, Transaction>,
+    transactions: IdMap<TransactionId, Transaction>,
     transactions_by_name: HashMap<String, TransactionId>,
     subject_alloc: IdAllocator,
     object_alloc: IdAllocator,
@@ -263,6 +265,8 @@ impl EntityCatalog {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::{BTreeMap, BTreeSet};
+
     use super::*;
 
     #[test]
@@ -316,6 +320,54 @@ mod tests {
         assert_eq!(c.subjects().count(), 2);
         assert_eq!(c.objects().count(), 1);
         assert_eq!(c.transactions().count(), 3);
+    }
+
+    #[test]
+    fn serialized_catalog_keeps_its_pair_lists() {
+        // Written when the id-keyed maps hashed with SipHash.
+        let earlier = r#"{"subjects":[[0,{"id":0,"name":"alice"}],[1,{"id":1,"name":"bob"}],[2,{"id":2,"name":"carol"}]],"subjects_by_name":[["bob",1],["carol",2],["alice",0]],"objects":[[1,{"id":1,"name":"stove"}],[0,{"id":0,"name":"tv"}]],"objects_by_name":[["tv",0],["stove",1]],"transactions":[[0,{"id":0,"name":"use"}],[2,{"id":2,"name":"watch"}],[1,{"id":1,"name":"open"}]],"transactions_by_name":[["watch",2],["use",0],["open",1]],"subject_alloc":{"next":3},"object_alloc":{"next":2},"transaction_alloc":{"next":3}}"#;
+        let catalog: EntityCatalog = serde_json::from_str(earlier).unwrap();
+        assert_eq!(
+            catalog.find_subject("carol").unwrap(),
+            SubjectId::from_raw(2)
+        );
+        assert_eq!(
+            catalog.object(ObjectId::from_raw(1)).unwrap().name(),
+            "stove"
+        );
+        assert_eq!(
+            catalog
+                .transaction(TransactionId::from_raw(2))
+                .unwrap()
+                .name(),
+            "watch"
+        );
+        let mut grown = catalog.clone();
+        assert_eq!(grown.declare_subject("dave").unwrap().as_raw(), 3);
+
+        // Written again, every field holds the same set of pairs; only
+        // their order, which follows the hash order, may differ.
+        fn fields(json: &str) -> BTreeMap<String, BTreeSet<String>> {
+            let serde::Value::Map(fields) = serde_json::from_str::<serde::Value>(json).unwrap()
+            else {
+                panic!("a catalog is a JSON object");
+            };
+            fields
+                .into_iter()
+                .map(|(name, value)| {
+                    let items = match value {
+                        serde::Value::Seq(pairs) => pairs
+                            .iter()
+                            .map(|pair| serde_json::to_string(pair).unwrap())
+                            .collect(),
+                        other => BTreeSet::from([serde_json::to_string(&other).unwrap()]),
+                    };
+                    (name, items)
+                })
+                .collect()
+        }
+        let written = serde_json::to_string(&catalog).unwrap();
+        assert_eq!(fields(&written), fields(earlier));
     }
 
     #[test]

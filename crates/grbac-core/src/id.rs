@@ -236,6 +236,42 @@ fn fresh_epoch() -> u64 {
     (nanos ^ ordinal.rotate_left(40)).max(1)
 }
 
+/// A multiplicative hasher for maps keyed by catalog-minted ids.
+///
+/// An id hashes through one `write_u64` of its raw value, which this
+/// hasher multiplies by an odd constant: distinct raw values stay
+/// distinct in the low bits, which pick the bucket, and the high bits,
+/// which tag it, mix every input bit. That is enough for keys that an
+/// [`IdAllocator`] mints densely and that no client chooses; it is no
+/// defence against keys picked to collide, so never insert keys that a
+/// client picks (looking up any key is fine). Other writes fold in byte
+/// by byte.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct IdHasher(u64);
+
+/// The odd multiplier of [`IdHasher`] (2^64 over the golden ratio).
+const ID_HASH_MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
+
+impl std::hash::Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, value: u64) {
+        self.0 = (self.0.rotate_left(5) ^ value).wrapping_mul(ID_HASH_MULTIPLIER);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` keyed by catalog-minted ids, hashed by [`IdHasher`].
+pub(crate) type IdMap<K, V> =
+    std::collections::HashMap<K, V, std::hash::BuildHasherDefault<IdHasher>>;
+
 /// Monotonic id allocator used by the catalogs in this crate.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub(crate) struct IdAllocator {
@@ -294,6 +330,23 @@ mod tests {
         assert_eq!(alloc.next(), 0);
         assert_eq!(alloc.next(), 1);
         assert_eq!(alloc.next(), 2);
+    }
+
+    #[test]
+    fn id_hasher_spreads_dense_ids_over_low_and_high_bits() {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let build = BuildHasherDefault::<IdHasher>::default();
+        let hashes: Vec<u64> = (0..1024u64)
+            .map(|raw| build.hash_one(SubjectId::from_raw(raw)))
+            .collect();
+        // The low ten bits, which pick one of 1024 buckets, are a
+        // permutation of the dense ids.
+        let mut low: Vec<u64> = hashes.iter().map(|h| h & 1023).collect();
+        low.sort_unstable();
+        assert_eq!(low, (0..1024).collect::<Vec<_>>());
+        // The top seven bits, which tag a bucket, take every value.
+        let top: std::collections::BTreeSet<u64> = hashes.iter().map(|h| h >> 57).collect();
+        assert_eq!(top.len(), 128);
     }
 
     #[test]

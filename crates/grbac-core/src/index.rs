@@ -30,8 +30,10 @@
 //!   same sequence the naive scan produces;
 //! * [`CachedExpansion`] — the direct and the hierarchy-expanded role
 //!   set, both [`RoleSet`] bitsets, of every assigned subject and
-//!   object. A request's environment is expanded the same way, by
-//!   ORing the closure rows of its active roles into a [`RoleSet`].
+//!   object, in an [`ExpansionTable`] indexed by raw id (the catalogs
+//!   mint subject and object ids densely). A request's environment is
+//!   expanded the same way, by ORing the closure rows of its active
+//!   roles into a [`RoleSet`].
 //!
 //! The index is **derived state**: it is maintained lazily (behind
 //! [`IndexCell`]) whenever the engine's generation counter says roles,
@@ -44,13 +46,15 @@
 //!
 //! The index is split into four independently `Arc`'d shards —
 //! closures, rule postings, subject expansions, object expansions.
-//! When the engine's [`DeltaLog`](crate::delta::DeltaLog) still covers
-//! the gap between the cached generation and the current one,
-//! [`CompiledIndex::apply_deltas`] builds the next index by cloning
-//! and patching only the shards a delta touches and `Arc`-sharing the
-//! rest; publication is an RCU-style swap of the whole
-//! `Arc<CompiledIndex>` inside the cell, so in-flight decides keep
-//! their old snapshot and never observe a torn shard. Edge inserts
+//! An edit resets the [`IndexCell`], which moves the current index
+//! aside; when the engine's [`DeltaLog`](crate::delta::DeltaLog) still
+//! covers the gap between that retired index's generation and the
+//! current one, [`CompiledIndex::apply_deltas`] builds the next index
+//! by cloning and patching only the shards a delta touches and
+//! `Arc`-sharing the rest, and the advance drops the retired index. A
+//! decide borrows the installed index for its whole run; an edit needs
+//! `&mut` on the engine, so none runs beside a decide, and no decide
+//! observes a torn shard. Edge inserts
 //! frontier-propagate (the edge's lower endpoint plus all its
 //! specializations recompute their closure rows, and OR their
 //! postings rows over their new closures, copying the postings only
@@ -63,7 +67,7 @@
 //! every row.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::assignment::Assignments;
 use crate::delta::PolicyDelta;
@@ -301,6 +305,54 @@ static NO_ROLES: CachedExpansion = CachedExpansion {
     direct: RoleSet::new(),
     expanded: RoleSet::new(),
 };
+
+/// Cached expansions indexed by raw subject or object id: catalogs mint
+/// those ids densely, so a lookup is one bounds-checked read.
+///
+/// Slot `id` holds an expansion iff the assignments track entity `id`,
+/// even when every direct role has since been revoked, and the table
+/// ends at its last held slot, so a patched table equals a fresh build.
+/// Any other id, past the end included, reads the empty expansion.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct ExpansionTable(Vec<Option<CachedExpansion>>);
+
+impl ExpansionTable {
+    /// The expansion of entity `raw`; empty when none is held.
+    pub(crate) fn get(&self, raw: u64) -> &CachedExpansion {
+        usize::try_from(raw)
+            .ok()
+            .and_then(|slot| self.0.get(slot))
+            .and_then(Option::as_ref)
+            .unwrap_or(&NO_ROLES)
+    }
+
+    /// Holds `expansion` for entity `raw`, or clears its slot on `None`,
+    /// growing the table to the slot and trimming empty slots off its
+    /// end.
+    fn set(&mut self, raw: u64, expansion: Option<CachedExpansion>) {
+        let slot = usize::try_from(raw).expect("catalog ids fit the address space");
+        if slot >= self.0.len() {
+            if expansion.is_none() {
+                return;
+            }
+            self.0.resize(slot + 1, None);
+        }
+        self.0[slot] = expansion;
+        while self.0.last().is_some_and(Option::is_none) {
+            self.0.pop();
+        }
+    }
+}
+
+impl FromIterator<(u64, CachedExpansion)> for ExpansionTable {
+    fn from_iter<I: IntoIterator<Item = (u64, CachedExpansion)>>(entries: I) -> Self {
+        let mut table = Self::default();
+        for (raw, expansion) in entries {
+            table.set(raw, Some(expansion));
+        }
+        table
+    }
+}
 
 /// Row of the rules whose subject spec is `Any`.
 const SUBJECT_ANY: usize = 0;
@@ -705,8 +757,8 @@ fn intersect(out: &mut [u64], rows: [&[u64]; 6]) {
 pub(crate) struct CompiledIndex {
     pub(crate) closures: Arc<RoleClosures>,
     pub(crate) rules: Arc<RuleIndex>,
-    pub(crate) subjects: Arc<HashMap<u64, CachedExpansion>>,
-    pub(crate) objects: Arc<HashMap<u64, CachedExpansion>>,
+    pub(crate) subjects: Arc<ExpansionTable>,
+    pub(crate) objects: Arc<ExpansionTable>,
 }
 
 /// Past this many dirty closure rows, recomputing the affected region
@@ -806,31 +858,31 @@ impl CompiledIndex {
         let subjects = if dirty_subjects.is_empty() {
             Arc::clone(&self.subjects)
         } else {
-            let mut next = HashMap::clone(&self.subjects);
+            let mut next = ExpansionTable::clone(&self.subjects);
             for &subject in &dirty_subjects {
-                // Mirror `build` exactly: an entry exists iff the
+                // Mirror `build` exactly: a slot is held iff the
                 // assignments map tracks the subject, even when every
                 // direct role has since been revoked.
-                if assignments.subject_is_tracked(subject) {
-                    let roles = assignments.subject_roles(subject);
-                    next.insert(subject.as_raw(), closures.expand(roles));
-                } else {
-                    next.remove(&subject.as_raw());
-                }
+                next.set(
+                    subject.as_raw(),
+                    assignments
+                        .subject_is_tracked(subject)
+                        .then(|| closures.expand(assignments.subject_roles(subject))),
+                );
             }
             Arc::new(next)
         };
         let objects = if dirty_objects.is_empty() {
             Arc::clone(&self.objects)
         } else {
-            let mut next = HashMap::clone(&self.objects);
+            let mut next = ExpansionTable::clone(&self.objects);
             for &object in &dirty_objects {
-                if assignments.object_is_tracked(object) {
-                    let roles = assignments.object_roles(object);
-                    next.insert(object.as_raw(), closures.expand(roles));
-                } else {
-                    next.remove(&object.as_raw());
-                }
+                next.set(
+                    object.as_raw(),
+                    assignments
+                        .object_is_tracked(object)
+                        .then(|| closures.expand(assignments.object_roles(object))),
+                );
             }
             Arc::new(next)
         };
@@ -857,12 +909,12 @@ impl CompiledIndex {
 
     /// The cached expansion of a subject's authorized role set.
     pub(crate) fn subject(&self, id: SubjectId) -> &CachedExpansion {
-        self.subjects.get(&id.as_raw()).unwrap_or(&NO_ROLES)
+        self.subjects.get(id.as_raw())
     }
 
     /// The cached expansion of an object's role set.
     pub(crate) fn object(&self, id: ObjectId) -> &CachedExpansion {
-        self.objects.get(&id.as_raw()).unwrap_or(&NO_ROLES)
+        self.objects.get(id.as_raw())
     }
 
     /// Publishes the index's shape into the registry's gauges.
@@ -885,131 +937,136 @@ pub(crate) enum Advance {
     Patched(CompiledIndex),
 }
 
-/// Lazily-maintained, generation-checked holder of the
+/// Lazily-maintained holder of the current generation's
 /// [`CompiledIndex`].
 ///
-/// The engine bumps its generation counter in every `&mut self` method
-/// that touches roles, assignments or rules; `decide` (`&self`) asks
-/// the cell for an index matching the current generation and advances
-/// on mismatch — incrementally when the delta log allows, from scratch
-/// otherwise. Publication is an RCU-style swap of the slot's `Arc`:
-/// in-flight decides keep the snapshot they cloned and never observe a
-/// torn shard. Interior mutability keeps mediation `&self`-pure, and
-/// the `Arc` lets `decide_batch` workers share one advance.
+/// The engine resets the cell in every `&mut self` method that touches
+/// roles, assignments or rules, and bumps its generation with it;
+/// `decide` (`&self`) asks the cell for the index and advances it when
+/// the current slot is empty — incrementally from the index the last
+/// reset retired when the delta log allows, from scratch otherwise.
+/// A decide borrows the index it gets for as long as it runs: the
+/// borrow checker keeps every mutation, which needs `&mut`, from
+/// running beside it, so no decide ever sees the index move and none
+/// pays a lock or a reference count to hold it. The `OnceLock` builds
+/// at most once per generation however many deciders race for it, and
+/// `decide_batch` workers share the one borrow.
 pub(crate) struct IndexCell {
-    slot: RwLock<Option<(u64, Arc<CompiledIndex>)>>,
+    /// The index of the current generation, with the generation it was
+    /// built for; empty until the first decide after a reset.
+    current: OnceLock<(u64, CompiledIndex)>,
+    /// The index the last reset retired, kept for the next advance to
+    /// patch from. The advance takes it and drops it, so an edit only
+    /// moves it here and never pays for freeing its shards.
+    stale: Mutex<Option<(u64, CompiledIndex)>>,
 }
 
 impl IndexCell {
-    /// The cached index, if it matches `generation`.
-    fn cached(&self, generation: u64) -> Option<Arc<CompiledIndex>> {
-        self.slot
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .as_ref()
-            .filter(|(built_for, _)| *built_for == generation)
-            .map(|(_, index)| Arc::clone(index))
-    }
-
     /// Returns the index for `generation`, advancing it at most once
-    /// per generation under contention. `advance` receives the stale
-    /// `(generation, index)` snapshot (if any) to patch from.
+    /// per generation under contention. `advance` receives the index
+    /// the last [`reset`](Self::reset) retired, with the generation it
+    /// was built for, to patch from.
     ///
-    /// Generation hits count into `index_cache_hits`; every install
-    /// counts into `index_rebuilds`, split into
-    /// `index_full_rebuilds` plus `index_rebuild_ns` (from-scratch)
-    /// and `index_delta_applied` plus `index_delta_apply_ns`
-    /// (incremental).
+    /// Decides served by an index that was already built — the
+    /// deciders that waited for a racing advance among them — count
+    /// into `index_cache_hits`; every install counts into
+    /// `index_rebuilds`, split into `index_full_rebuilds` plus
+    /// `index_rebuild_ns` (from-scratch) and `index_delta_applied`
+    /// plus `index_delta_apply_ns` (incremental).
     pub(crate) fn get_or_advance(
         &self,
         generation: u64,
         metrics: &MetricsRegistry,
         advance: impl FnOnce(Option<(u64, &CompiledIndex)>) -> Advance,
-    ) -> Arc<CompiledIndex> {
-        if let Some(index) = self.cached(generation) {
-            metrics.index_cache_hits.inc();
-            return index;
-        }
-        {
-            let mut slot = self
-                .slot
-                .write()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            // Double-check: another thread may have advanced while we
-            // waited for the write lock.
-            let raced = matches!(slot.as_ref(), Some((built_for, _)) if *built_for == generation);
-            if !raced {
-                let started = std::time::Instant::now();
-                let stale = slot
-                    .as_ref()
-                    .map(|(built_for, index)| (*built_for, &**index));
-                let (index, patched) = match advance(stale) {
-                    Advance::Patched(next) => (Arc::new(next), true),
-                    Advance::Rebuilt(next) => (Arc::new(next), false),
-                };
-                let elapsed = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                metrics.index_rebuilds.inc();
-                if patched {
-                    metrics.index_delta_apply_ns.observe(elapsed);
-                } else {
-                    metrics.index_full_rebuilds.inc();
-                    metrics.index_rebuild_ns.add(elapsed);
-                }
-                index.publish_shape(metrics);
-                metrics
-                    .events
-                    .publish(crate::telemetry::EventData::DeltaApplied {
-                        generation,
-                        patched,
-                        install_ns: elapsed,
-                    });
-                *slot = Some((generation, Arc::clone(&index)));
-                return index;
+    ) -> &CompiledIndex {
+        let mut installed = false;
+        let (built_for, index) = self.current.get_or_init(|| {
+            installed = true;
+            let stale = self.stale().take();
+            let started = std::time::Instant::now();
+            let (index, patched) = match advance(stale.as_ref().map(|(g, index)| (*g, index))) {
+                Advance::Patched(next) => (next, true),
+                Advance::Rebuilt(next) => (next, false),
+            };
+            let elapsed = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            // The retired index goes here, on the decide that replaces
+            // it, and not in the edit that retired it.
+            drop(stale);
+            metrics.index_rebuilds.inc();
+            if patched {
+                metrics.index_delta_apply_ns.observe(elapsed);
+            } else {
+                metrics.index_full_rebuilds.inc();
+                metrics.index_rebuild_ns.add(elapsed);
             }
+            index.publish_shape(metrics);
+            metrics
+                .events
+                .publish(crate::telemetry::EventData::DeltaApplied {
+                    generation,
+                    patched,
+                    install_ns: elapsed,
+                });
+            (generation, index)
+        });
+        debug_assert_eq!(
+            *built_for, generation,
+            "every generation bump resets the cell"
+        );
+        if !installed {
+            metrics.index_cache_hits.inc();
         }
-        // Lost the race: the winner already published this generation.
-        // Serve it from the read path so the hot-path Arc clone never
-        // happens under the write lock. Mutations take `&mut self`, so
-        // no third thread can move the generation underneath us.
-        metrics.index_cache_hits.inc();
-        self.cached(generation)
-            .expect("racing advance published this generation")
+        index
+    }
+
+    /// Retires the current index, if one was built, for the next
+    /// advance to patch from: a move, so the edit that calls this pays
+    /// no drop. A cell reset again before any advance keeps the index
+    /// it retired first; the delta log covers the gap from there.
+    pub(crate) fn reset(&mut self) {
+        if let Some(current) = self.current.take() {
+            *self
+                .stale
+                .get_mut()
+                .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(current);
+        }
+    }
+
+    fn stale(&self) -> std::sync::MutexGuard<'_, Option<(u64, CompiledIndex)>> {
+        self.stale
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
 
 impl Default for IndexCell {
     fn default() -> Self {
         Self {
-            slot: RwLock::new(None),
+            current: OnceLock::new(),
+            stale: Mutex::new(None),
         }
     }
 }
 
 impl Clone for IndexCell {
     fn clone(&self) -> Self {
-        // The index is pure derived state keyed by generation, so
-        // sharing the Arc with the clone is safe and skips a rebuild.
+        // The index is pure derived state keyed by generation, so the
+        // clone shares its shards (and the retired index's, to patch
+        // from) and skips a rebuild.
         Self {
-            slot: RwLock::new(
-                self.slot
-                    .read()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .clone(),
-            ),
+            current: self.current.clone(),
+            stale: Mutex::new(self.stale().clone()),
         }
     }
 }
 
 impl std::fmt::Debug for IndexCell {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = match self
-            .slot
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .as_ref()
-        {
-            Some((generation, _)) => format!("built@{generation}"),
-            None => "empty".to_owned(),
+        let retired = self.stale().as_ref().map(|(generation, _)| *generation);
+        let state = match (self.current.get(), retired) {
+            (Some((generation, _)), _) => format!("built@{generation}"),
+            (None, Some(generation)) => format!("retired@{generation}"),
+            (None, None) => "empty".to_owned(),
         };
         f.debug_struct("IndexCell").field("state", &state).finish()
     }
@@ -1588,22 +1645,24 @@ mod tests {
     fn index_cell_rebuilds_only_on_generation_change() {
         let (catalog, _) = catalog_with_chain();
         let assignments = Assignments::new();
-        let cell = IndexCell::default();
+        let mut cell = IndexCell::default();
         let metrics = MetricsRegistry::new();
         let first = cell.get_or_advance(3, &metrics, |_| {
             Advance::Rebuilt(CompiledIndex::build(&catalog, &assignments, &[]))
         });
+        let first_closures = Arc::clone(&first.closures);
         let second = cell.get_or_advance(3, &metrics, |_| {
             panic!("same generation must reuse the index")
         });
-        assert!(Arc::ptr_eq(&first, &second));
+        assert!(std::ptr::eq(first, second));
+        cell.reset();
         let third = cell.get_or_advance(4, &metrics, |stale| {
             let (built_for, index) = stale.expect("previous generation cached");
             assert_eq!(built_for, 3);
-            assert!(Arc::ptr_eq(&first.closures, &index.closures));
+            assert!(Arc::ptr_eq(&first_closures, &index.closures));
             Advance::Rebuilt(CompiledIndex::build(&catalog, &assignments, &[]))
         });
-        assert!(!Arc::ptr_eq(&first, &third));
+        assert!(!Arc::ptr_eq(&first_closures, &third.closures));
         if crate::telemetry::ENABLED {
             assert_eq!(metrics.index_rebuilds.get(), 2);
             assert_eq!(metrics.index_full_rebuilds.get(), 2);
@@ -1616,11 +1675,13 @@ mod tests {
     fn patched_installs_count_separately_from_rebuilds() {
         let (catalog, [home_user, family, ..]) = catalog_with_chain();
         let assignments = Assignments::new();
-        let cell = IndexCell::default();
+        let mut cell = IndexCell::default();
         let metrics = MetricsRegistry::new();
         let first = cell.get_or_advance(1, &metrics, |_| {
             Advance::Rebuilt(CompiledIndex::build(&catalog, &assignments, &[]))
         });
+        let (first_closures, first_rules) = (Arc::clone(&first.closures), Arc::clone(&first.rules));
+        cell.reset();
         let second = cell.get_or_advance(2, &metrics, |stale| {
             let (_, index) = stale.expect("stale index available to patch");
             let next = index
@@ -1629,8 +1690,8 @@ mod tests {
             Advance::Patched(next)
         });
         // An untouched patch shares every shard with its predecessor.
-        assert!(Arc::ptr_eq(&first.closures, &second.closures));
-        assert!(Arc::ptr_eq(&first.rules, &second.rules));
+        assert!(Arc::ptr_eq(&first_closures, &second.closures));
+        assert!(Arc::ptr_eq(&first_rules, &second.rules));
         assert_eq!(
             second.closures.distance_up(family, home_user),
             Some(1),
@@ -1641,6 +1702,121 @@ mod tests {
             assert_eq!(metrics.index_full_rebuilds.get(), 1);
             assert_eq!(metrics.index_delta_apply_ns.snapshot().count, 1);
         }
+    }
+
+    #[test]
+    fn a_reset_retires_the_index_and_the_next_advance_drops_it() {
+        let (catalog, _) = catalog_with_chain();
+        let assignments = Assignments::new();
+        let build = || Advance::Rebuilt(CompiledIndex::build(&catalog, &assignments, &[]));
+        let mut cell = IndexCell::default();
+        let metrics = MetricsRegistry::new();
+        let built = cell.get_or_advance(1, &metrics, |_| build());
+        let (closures, rules) = (
+            Arc::downgrade(&built.closures),
+            Arc::downgrade(&built.rules),
+        );
+        let tables = [
+            Arc::downgrade(&built.subjects),
+            Arc::downgrade(&built.objects),
+        ];
+        let alive = || {
+            closures.upgrade().is_some()
+                && rules.upgrade().is_some()
+                && tables.iter().all(|table| table.upgrade().is_some())
+        };
+        let dead = || {
+            closures.upgrade().is_none()
+                && rules.upgrade().is_none()
+                && tables.iter().all(|table| table.upgrade().is_none())
+        };
+        // The reset, which an edit makes, only moves the index aside;
+        // a second reset before any advance keeps it.
+        cell.reset();
+        assert!(alive());
+        cell.reset();
+        assert!(alive());
+        assert_eq!(format!("{cell:?}"), r#"IndexCell { state: "retired@1" }"#);
+        // The advance hands it over to patch from, then drops it.
+        cell.get_or_advance(3, &metrics, |stale| {
+            assert_eq!(stale.map(|(built_for, _)| built_for), Some(1));
+            assert!(alive());
+            build()
+        });
+        assert!(dead());
+        assert_eq!(format!("{cell:?}"), r#"IndexCell { state: "built@3" }"#);
+    }
+
+    #[test]
+    fn expansion_tables_hold_exactly_the_tracked_entities() {
+        let (catalog, [home_user, family, parent, device]) = catalog_with_chain();
+        let mut assignments = Assignments::new();
+        let (alice, bob) = (SubjectId::from_raw(0), SubjectId::from_raw(1));
+        let tv = ObjectId::from_raw(0);
+        assignments.assign_subject(alice, family);
+        assignments.assign_object(tv, device);
+        let index = CompiledIndex::build(&catalog, &assignments, &[]);
+        let expanded = |expansion: &CachedExpansion| expansion.expanded.iter().collect::<Vec<_>>();
+        assert_eq!(expanded(index.subject(alice)), vec![home_user, family]);
+        assert_eq!(expanded(index.object(tv)), vec![device]);
+        // Declared but never assigned, and ids past the end of either
+        // table, read the empty expansion.
+        for subject in [bob, SubjectId::from_raw(40), SubjectId::from_raw(u64::MAX)] {
+            assert_eq!(index.subject(subject), &NO_ROLES, "{subject}");
+        }
+        for object in [ObjectId::from_raw(1), ObjectId::from_raw(u64::MAX)] {
+            assert_eq!(index.object(object), &NO_ROLES, "{object}");
+        }
+
+        // Assignments to ids past the end of both tables grow them to
+        // what a fresh build holds; a revoke keeps the slot held.
+        let (far_subject, far_object) = (SubjectId::from_raw(9), ObjectId::from_raw(6));
+        assignments.assign_subject(far_subject, parent);
+        assignments.assign_object(far_object, device);
+        assignments.revoke_subject(alice, family);
+        let deltas = [
+            PolicyDelta::SubjectAssignment {
+                subject: far_subject,
+            },
+            PolicyDelta::ObjectAssignment { object: far_object },
+            PolicyDelta::SubjectAssignment { subject: alice },
+        ];
+        let patched = index
+            .apply_deltas(&deltas, &catalog, &assignments)
+            .expect("assignment deltas patch");
+        assert_eq!(patched, CompiledIndex::build(&catalog, &assignments, &[]));
+        assert_eq!(patched.subjects.0.len(), 10);
+        assert_eq!(patched.objects.0.len(), 7);
+        assert!(
+            patched.subjects.0[0].is_some(),
+            "a revoked subject stays tracked"
+        );
+        assert_eq!(
+            expanded(patched.subject(far_subject)),
+            vec![home_user, family, parent]
+        );
+        assert_eq!(expanded(patched.object(far_object)), vec![device]);
+        assert_eq!(patched.subject(alice), &NO_ROLES);
+        assert_eq!(patched.subject(SubjectId::from_raw(5)), &NO_ROLES);
+        assert_eq!(patched.subject(SubjectId::from_raw(10)), &NO_ROLES);
+        assert_eq!(patched.object(ObjectId::from_raw(7)), &NO_ROLES);
+    }
+
+    #[test]
+    fn an_emptied_slot_trims_the_table_end() {
+        let expansion = |role| RoleClosures::build(&catalog_with_chain().0).expand([role]);
+        let role = RoleId::from_raw(0);
+        let mut table: ExpansionTable = [(2, expansion(role)), (0, expansion(role))]
+            .into_iter()
+            .collect();
+        assert_eq!(table.0.len(), 3);
+        table.set(7, None);
+        assert_eq!(table.0.len(), 3, "clearing past the end grows nothing");
+        table.set(2, None);
+        assert_eq!(table, [(0, expansion(role))].into_iter().collect());
+        assert_eq!(table.0.len(), 1);
+        table.set(0, None);
+        assert_eq!(table, ExpansionTable::default());
     }
 
     #[test]

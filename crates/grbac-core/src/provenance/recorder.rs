@@ -221,9 +221,12 @@ impl FlightRecorder {
             return None;
         }
         let writer = thread_id();
-        let writer_seq =
-            self.writer_seqs[writer as usize % MAX_WRITERS].fetch_add(1, Ordering::Relaxed);
         let mut ring = lock(&self.ring);
+        // Every writer advances its counter under the ring lock, so a
+        // load and a store do what a read-modify-write would.
+        let counter = &self.writer_seqs[writer as usize % MAX_WRITERS];
+        let writer_seq = counter.load(Ordering::Relaxed);
+        counter.store(writer_seq + 1, Ordering::Relaxed);
         let seq = ring.pushed();
         Some(ring.push_with(ProvenanceRecord::blank, |record| {
             fill(record);

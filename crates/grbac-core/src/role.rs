@@ -325,7 +325,8 @@ mod names_by_kind {
 
     pub(super) fn from_value(value: &Value) -> Result<[HashMap<String, RoleId>; 3], Error> {
         let mut maps: [HashMap<String, RoleId>; 3] = Default::default();
-        for ((kind, name), id) in hash::from_value::<(RoleKind, String), RoleId>(value)? {
+        let pairs: HashMap<(RoleKind, String), RoleId> = hash::from_value(value)?;
+        for ((kind, name), id) in pairs {
             maps[kind as usize].insert(name, id);
         }
         Ok(maps)

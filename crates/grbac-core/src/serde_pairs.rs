@@ -9,15 +9,17 @@
 //! [`Grbac`](crate::engine::Grbac) engine storable as a JSON document —
 //! the persistence story a real deployment needs.
 
-/// Adapter for `HashMap<K, V>` with non-string keys.
+/// Adapter for `HashMap<K, V, S>` with non-string keys, under any
+/// hasher `S`: the pair list does not depend on it.
 pub mod hash {
     use std::collections::HashMap;
-    use std::hash::Hash;
+    use std::hash::{BuildHasher, Hash};
 
     use serde::{Deserialize, Error, Serialize, Value};
 
-    /// Serializes the map as a sequence of pairs.
-    pub fn to_value<K, V>(map: &HashMap<K, V>) -> Value
+    /// Serializes the map as a sequence of pairs, in the map's
+    /// iteration order.
+    pub fn to_value<K, V, S>(map: &HashMap<K, V, S>) -> Value
     where
         K: Serialize,
         V: Serialize,
@@ -35,15 +37,16 @@ pub mod hash {
     ///
     /// Rejects values that are not sequences of two-element sequences,
     /// or whose elements fail their own deserialization.
-    pub fn from_value<K, V>(value: &Value) -> Result<HashMap<K, V>, Error>
+    pub fn from_value<K, V, S>(value: &Value) -> Result<HashMap<K, V, S>, Error>
     where
         K: Deserialize + Eq + Hash,
         V: Deserialize,
+        S: BuildHasher + Default,
     {
         let items = value
             .as_seq()
             .ok_or_else(|| Error::expected("pair sequence", value))?;
-        let mut map = HashMap::with_capacity(items.len());
+        let mut map = HashMap::with_capacity_and_hasher(items.len(), S::default());
         for item in items {
             let pair = item
                 .as_seq()

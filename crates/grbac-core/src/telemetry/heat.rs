@@ -76,14 +76,6 @@ impl Shard {
             .read()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
-
-    /// Runs `update` on the cell of `slot`. Slots come from
-    /// [`RuleHeat::claim`], which widens every shard first.
-    fn with_cell(&self, slot: u32, update: impl Fn(&HeatCell)) {
-        if let Some(cell) = self.read().get(slot as usize) {
-            update(cell);
-        }
-    }
 }
 
 impl HeatCell {
@@ -318,16 +310,18 @@ impl RuleHeat {
                 .position(|&owner| owner == Some(raw));
             held.map_or_else(|| self.claim(raw), |slot| slot as u32)
         };
-        self.record_slots(
-            matched.into_iter().map(slot_of),
-            winner.map(slot_of),
-            winner_permit,
-            generation,
-        );
+        // Every slot is found or claimed before `record_slots` takes a
+        // shard's read lock: a claim may widen, which write-locks every
+        // shard.
+        let matched: Vec<u32> = matched.into_iter().map(slot_of).collect();
+        let winner = winner.map(slot_of);
+        self.record_slots(matched, winner, winner_permit, generation);
     }
 
     /// [`Self::record_decision`] for rules named by their claimed
-    /// slots: the decide path, with no directory lookup.
+    /// slots: the decide path, with no directory lookup and one read
+    /// lock of the thread's shard for the whole decision. `matched`
+    /// must not claim slots while it is iterated.
     pub(crate) fn record_slots(
         &self,
         matched: impl IntoIterator<Item = u32>,
@@ -338,22 +332,27 @@ impl RuleHeat {
         if !self.is_enabled() {
             return;
         }
-        let shard = &self.shards[thread_id() as usize % SHARDS];
         let stamp = generation.wrapping_add(1).max(1);
-        for slot in matched {
-            shard.with_cell(slot, |cell| {
-                cell.matched.fetch_add(1, Ordering::Relaxed);
-                cell.last_gen.fetch_max(stamp, Ordering::Relaxed);
-            });
-        }
-        if let Some(slot) = winner {
-            shard.with_cell(slot, |cell| {
+        {
+            let cells = self.shards[thread_id() as usize % SHARDS].read();
+            // Slots come from `claim`, which widens every shard first.
+            for slot in matched {
+                if let Some(cell) = cells.get(slot as usize) {
+                    cell.matched.fetch_add(1, Ordering::Relaxed);
+                    // The stamp rarely moves: skip the read-modify-write
+                    // unless it would.
+                    if cell.last_gen.load(Ordering::Relaxed) < stamp {
+                        cell.last_gen.fetch_max(stamp, Ordering::Relaxed);
+                    }
+                }
+            }
+            if let Some(cell) = winner.and_then(|slot| cells.get(slot as usize)) {
                 if winner_permit {
                     cell.won_permit.fetch_add(1, Ordering::Relaxed);
                 } else {
                     cell.won_deny.fetch_add(1, Ordering::Relaxed);
                 }
-            });
+            }
         }
         self.decisions.fetch_add(1, Ordering::Relaxed);
     }

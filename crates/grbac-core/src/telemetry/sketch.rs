@@ -92,8 +92,14 @@ impl QuantileSketch {
         self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
-        self.min.fetch_min(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
+        // Bounds rarely move once a few values are in: skip each
+        // read-modify-write unless a load says it would.
+        if value < self.min.load(Ordering::Relaxed) {
+            self.min.fetch_min(value, Ordering::Relaxed);
+        }
+        if value > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(value, Ordering::Relaxed);
+        }
     }
 
     /// Records one observation and retains `exemplar` as the bucket's

@@ -122,7 +122,8 @@ pub(crate) trait TraceSink {
     const ACTIVE: bool;
 
     /// Marks the beginning of `stage`. Returns the stage start time
-    /// when active.
+    /// when active: the previous stage's exit reading, or a fresh one
+    /// for the first stage.
     fn enter(&mut self, stage: Stage) -> Option<Instant>;
 
     /// Completes `stage` with its item count.
@@ -144,9 +145,17 @@ impl TraceSink for NoTrace {
     fn exit(&mut self, _stage: Stage, _started: Option<Instant>, _items: u64) {}
 }
 
-/// The recording sink used by `decide_traced`.
+/// The recording sink used by `decide_traced` and every latency-sampled
+/// decide.
+///
+/// Stages are contiguous: each starts at the clock reading that ended
+/// the one before, so a decide's five stages cost six clock reads, not
+/// ten, and the stage times add up to the span from the first stage's
+/// start to the last one's end.
 pub(crate) struct TraceCollector {
     stages: Vec<StageRecord>,
+    /// The last stage's exit reading: where the next stage starts.
+    last_exit: Option<Instant>,
 }
 
 impl Default for TraceCollector {
@@ -154,6 +163,7 @@ impl Default for TraceCollector {
     fn default() -> Self {
         Self {
             stages: Vec::with_capacity(Stage::ALL.len()),
+            last_exit: None,
         }
     }
 }
@@ -173,12 +183,14 @@ impl TraceSink for TraceCollector {
     const ACTIVE: bool = true;
 
     fn enter(&mut self, _stage: Stage) -> Option<Instant> {
-        Some(Instant::now())
+        Some(self.last_exit.unwrap_or_else(Instant::now))
     }
 
     fn exit(&mut self, stage: Stage, started: Option<Instant>, items: u64) {
+        let now = Instant::now();
+        self.last_exit = Some(now);
         let nanos = started.map_or(0, |start| {
-            u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+            u64::try_from(now.duration_since(start).as_nanos()).unwrap_or(u64::MAX)
         });
         self.stages.push(StageRecord {
             stage,
@@ -210,6 +222,24 @@ mod tests {
         let rendered = trace.render();
         assert!(rendered.contains("subject_expansion"));
         assert!(rendered.contains("total"));
+    }
+
+    #[test]
+    fn each_stage_starts_where_the_last_one_ended() {
+        let mut sink = TraceCollector::default();
+        let first = sink.enter(Stage::SubjectExpansion).unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        sink.exit(Stage::SubjectExpansion, Some(first), 1);
+        let ended = sink.last_exit.expect("exit reads the clock");
+        let second = sink.enter(Stage::ObjectExpansion).unwrap();
+        assert_eq!(second, ended);
+        sink.exit(Stage::ObjectExpansion, Some(second), 1);
+        let last = sink.last_exit.unwrap();
+        let trace = sink.finish(first);
+        assert!(trace.stages[0].nanos >= 2_000_000);
+        // Contiguous stages add up to the span they cover.
+        let span = u64::try_from(last.duration_since(first).as_nanos()).unwrap();
+        assert_eq!(trace.stages.iter().map(|r| r.nanos).sum::<u64>(), span);
     }
 
     #[test]
