@@ -8,14 +8,25 @@
 //! data as JSON for downstream tooling. `--bench-out DIR` additionally
 //! writes the benchmark-bearing experiments (e5, e10, e12–e18) to
 //! `DIR/BENCH_<name>.json`, one JSON document per experiment, for CI
-//! artifact storage and cross-run comparison. Timings here use
-//! wall-clock loops sized for quick runs; the Criterion benches in
-//! `benches/` measure the same code paths with statistical rigor.
+//! artifact storage and cross-run comparison. An unknown name exits
+//! with status 2 and lists the valid ones. Timings here use wall-clock
+//! loops sized for quick runs; the Criterion benches in `benches/`
+//! measure the same code paths with statistical rigor.
 
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
-use grbac_bench::fixtures::{deep_hierarchy, synthetic_grbac, synthetic_rbac, SyntheticConfig};
-use grbac_bench::table::Table;
+use grbac_bench::args::Args;
+use grbac_bench::fixtures::{
+    chaos_week, deep_hierarchy, degraded_postures, fault_onset_replay, home_workload,
+    inject_dead_rule, synthetic_grbac, synthetic_rbac, wide, SyntheticConfig,
+};
+use grbac_bench::measure::{self, fastest_of, Side, ROUNDS};
+use grbac_bench::serveload::{
+    record_window, self_host, uint_field, Load, Samples, WindowStats, WireLoad,
+};
+use grbac_bench::table::{self, Table};
 use grbac_core::confidence::{AuthContext, Confidence};
 use grbac_core::degraded::{DegradedMode, EnvHealth};
 use grbac_core::engine::{AccessRequest, Grbac};
@@ -23,84 +34,70 @@ use grbac_core::environment::EnvironmentSnapshot;
 use grbac_core::precedence::ConflictStrategy;
 use grbac_core::provenance::{replay, replay_all, replay_with_health, ForensicQuery};
 use grbac_core::rule::{Effect, RuleDef};
+use grbac_core::telemetry::EventFilter;
 use grbac_env::calendar::TimeExpr;
 use grbac_env::events::EventBus;
 use grbac_env::fault::{FaultPlan, FaultRates};
 use grbac_env::load::LoadMonitor;
 use grbac_env::periodic::PeriodicExpr;
 use grbac_env::provider::{EnvCondition, EnvironmentContext, EnvironmentRoleProvider};
-use grbac_env::resilient::ResilienceConfig;
 use grbac_env::time::{Date, Duration, TimeOfDay, Timestamp};
-use grbac_home::chaos::run_chaos;
 use grbac_home::scenario::{
     paper_confidence_threshold, paper_household, paper_smart_floor, weights,
 };
-use grbac_home::workload::{execute, generate, WorkloadConfig};
+use grbac_home::workload::{execute, generate};
 use grbac_mls::blp::{BlpMonitor, MlsOp};
 use grbac_mls::encode::MlsGrbac;
 use grbac_mls::level::{Classification, SecurityLevel};
 use grbac_sense::evidence::Claim;
+use grbac_serve::Client;
 use rand::Rng;
 use rand::SeedableRng;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = args.iter().any(|a| a == "--json");
-    let bench_out = args
-        .iter()
-        .position(|a| a == "--bench-out")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let mut skip_next = false;
-    let selected: Vec<&str> = args
-        .iter()
-        .filter(|a| {
-            if skip_next {
-                skip_next = false;
-                return false;
-            }
-            if a.as_str() == "--bench-out" {
-                skip_next = true;
-                return false;
-            }
-            a.as_str() != "--json"
-        })
-        .map(String::as_str)
-        .collect();
-    let run_all = selected.is_empty() || selected.contains(&"all");
-    let want = |name: &str| run_all || selected.contains(&name);
+type Runner = fn() -> Vec<Table>;
+const EXPERIMENTS: [(&str, Runner); 18] = [
+    ("e1", e1_rbac_mediation),
+    ("e2", e2_hierarchy),
+    ("e3", e3_policy_size),
+    ("e4", e4_partial_auth),
+    ("e5", e5_mediation_scaling),
+    ("e6", e6_precedence),
+    ("e7", e7_expressiveness),
+    ("e8", e8_env_events),
+    ("e9", e9_aware_home),
+    ("e10", e10_telemetry_overhead),
+    ("e11", e11_fault_tolerance),
+    ("e12", e12_provenance),
+    ("e13", e13_policy_health),
+    ("e14", e14_incremental_churn),
+    ("e15", e15_obs_overhead),
+    ("e16", e16_service_tenancy),
+    ("e17", e17_tracing_overhead),
+    ("e18", e18_live_telemetry),
+];
 
-    type Runner = fn() -> Vec<Table>;
-    let experiments: [(&str, Runner); 18] = [
-        ("e1", e1_rbac_mediation),
-        ("e2", e2_hierarchy),
-        ("e3", e3_policy_size),
-        ("e4", e4_partial_auth),
-        ("e5", e5_mediation_scaling),
-        ("e6", e6_precedence),
-        ("e7", e7_expressiveness),
-        ("e8", e8_env_events),
-        ("e9", e9_aware_home),
-        ("e10", e10_telemetry_overhead),
-        ("e11", e11_fault_tolerance),
-        ("e12", e12_provenance),
-        ("e13", e13_policy_health),
-        ("e14", e14_incremental_churn),
-        ("e15", e15_obs_overhead),
-        ("e16", e16_service_tenancy),
-        ("e17", e17_tracing_overhead),
-        ("e18", e18_live_telemetry),
-    ];
-    let groups: Vec<(&str, Vec<Table>)> = experiments
+fn main() {
+    let args = Args::from_env();
+    let valid: Vec<&str> = EXPERIMENTS
         .iter()
-        .filter(|(name, _)| want(name))
+        .map(|(name, _)| *name)
+        .chain(["all"])
+        .collect();
+    let selected = args.names(&["--bench-out"], &valid).unwrap_or_else(|err| {
+        eprintln!("experiments: {err}");
+        std::process::exit(2);
+    });
+    let run_all = selected.is_empty() || selected.contains(&"all");
+    let groups: Vec<(&str, Vec<Table>)> = EXPERIMENTS
+        .iter()
+        .filter(|(name, _)| run_all || selected.contains(name))
         .map(|&(name, run)| (name, run()))
         .collect();
 
     // The benchmark-bearing experiments land as one JSON file each, so
     // CI can store them and diffs can track timing drift across runs.
-    if let Some(dir) = bench_out {
-        std::fs::create_dir_all(&dir).expect("--bench-out directory creatable");
+    if let Some(dir) = args.value("--bench-out") {
+        std::fs::create_dir_all(dir).expect("--bench-out directory creatable");
         for (name, tables) in &groups {
             if ["e5", "e10", "e12", "e13", "e14", "e15", "e16", "e17", "e18"].contains(name) {
                 let path = format!("{dir}/BENCH_{name}.json");
@@ -112,20 +109,22 @@ fn main() {
     }
 
     let tables: Vec<Table> = groups.into_iter().flat_map(|(_, tables)| tables).collect();
-    if json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&tables).expect("tables serialize")
-        );
-    } else {
-        for table in &tables {
-            println!("{}", table.render());
-        }
-    }
+    table::print(&tables, args.flag("--json"));
 }
 
 fn ns_per_op(total: std::time::Duration, ops: usize) -> f64 {
     total.as_nanos() as f64 / ops.max(1) as f64
+}
+
+/// Mean ns per `decide` call over `requests`, from the fastest of five
+/// passes.
+fn fastest_ns<T>(requests: &[AccessRequest], decide: impl Fn(&AccessRequest) -> T) -> f64 {
+    let pass = |(): &mut ()| {
+        for request in requests {
+            std::hint::black_box(decide(request));
+        }
+    };
+    ns_per_op(fastest_of(5, || (), pass), requests.len())
 }
 
 /// E1 — Figure 1: the RBAC `exec(s, t)` rule, correctness + timing.
@@ -414,13 +413,7 @@ fn e5_mediation_scaling() -> Vec<Table> {
         ],
     );
     for rules in [16usize, 64, 256, 1024] {
-        let system = synthetic_grbac(&SyntheticConfig {
-            rules,
-            subject_roles: 32,
-            object_roles: 32,
-            environment_roles: 16,
-            ..Default::default()
-        });
+        let system = synthetic_grbac(&wide(rules));
         let requests = system.requests(20_000, 3, 3);
         let start = Instant::now();
         for request in &requests {
@@ -461,12 +454,8 @@ fn e5_mediation_scaling() -> Vec<Table> {
     );
     for chain_depth in [1usize, 2, 4, 8, 16] {
         let system = synthetic_grbac(&SyntheticConfig {
-            rules: 256,
-            subject_roles: 32,
-            object_roles: 32,
-            environment_roles: 16,
             chain_depth,
-            ..Default::default()
+            ..wide(256)
         });
         let requests = system.requests(20_000, 3, 3);
         let start = Instant::now();
@@ -844,46 +833,15 @@ fn e10_telemetry_overhead() -> Vec<Table> {
         ],
     );
     for rules in [256usize, 1024] {
-        let system = synthetic_grbac(&SyntheticConfig {
-            rules,
-            subject_roles: 32,
-            object_roles: 32,
-            environment_roles: 16,
-            ..Default::default()
-        });
+        let system = synthetic_grbac(&wide(rules));
         let requests = system.requests(20_000, 3, 3);
         // Warm the compiled index so both loops measure steady state,
-        // and take the fastest of several repetitions: scheduler noise
-        // only ever slows a run down, so the minimum is the stable
-        // estimate of the true per-decision cost.
+        // and take the fastest of five repetitions.
         system.engine.decide(&requests[0]).expect("known ids");
-        let best_of = |f: &dyn Fn()| {
-            (0..5)
-                .map(|_| {
-                    let start = Instant::now();
-                    f();
-                    start.elapsed()
-                })
-                .min()
-                .expect("nonempty")
-        };
-
-        let plain_ns = ns_per_op(
-            best_of(&|| {
-                for request in &requests {
-                    std::hint::black_box(system.engine.decide(request).expect("known ids"));
-                }
-            }),
-            requests.len(),
-        );
-        let traced_ns = ns_per_op(
-            best_of(&|| {
-                for request in &requests {
-                    std::hint::black_box(system.engine.decide_traced(request).expect("known ids"));
-                }
-            }),
-            requests.len(),
-        );
+        let plain_ns = fastest_ns(&requests, |r| system.engine.decide(r).expect("known ids"));
+        let traced_ns = fastest_ns(&requests, |r| {
+            system.engine.decide_traced(r).expect("known ids")
+        });
 
         table.row(&[
             telemetry.to_owned(),
@@ -911,15 +869,7 @@ fn e9_aware_home() -> Vec<Table> {
     let mut final_home = None;
     for days in [1u32, 7] {
         let mut home = paper_household().unwrap();
-        let events = generate(
-            &home,
-            &WorkloadConfig {
-                days,
-                requests_per_person_per_day: 50,
-                move_probability: 0.3,
-                seed: 2000,
-            },
-        );
+        let events = generate(&home, &home_workload(days));
         let start = Instant::now();
         let stats = execute(&mut home, &events).unwrap();
         let elapsed = start.elapsed();
@@ -973,19 +923,6 @@ fn e9_aware_home() -> Vec<Table> {
 /// at 100% while correctness degrades measurably against a fault-free
 /// oracle, and the cost depends on the degraded posture.
 fn e11_fault_tolerance() -> Vec<Table> {
-    let workload = WorkloadConfig {
-        days: 7,
-        requests_per_person_per_day: 50,
-        move_probability: 0.3,
-        seed: 2000,
-    };
-    let resilience = ResilienceConfig {
-        max_retries: 1,
-        failure_threshold: 3,
-        open_cooldown_s: 300,
-        ..ResilienceConfig::default()
-    };
-
     // Sweep hard-failure rates under the default fail-closed posture.
     let mut sweep = Table::new(
         "E11: availability and correctness vs provider error rate (fail-closed)",
@@ -1002,18 +939,8 @@ fn e11_fault_tolerance() -> Vec<Table> {
         ],
     );
     for rate in [0.0, 0.1, 0.3] {
-        let mut faulty = paper_household().unwrap();
-        let mut oracle = paper_household().unwrap();
-        let events = generate(&faulty, &workload);
-        let report = run_chaos(
-            &mut faulty,
-            &mut oracle,
-            &events,
-            FaultPlan::random(FaultRates::errors_only(rate), 4100 + (rate * 100.0) as u64),
-            resilience,
-            DegradedMode::fail_closed(),
-        )
-        .unwrap();
+        let seed = 4100 + (rate * 100.0) as u64;
+        let (_, report) = chaos_week(rate, seed, DegradedMode::fail_closed());
         sweep.row(&[
             format!("{rate:.2}"),
             report.requests.to_string(),
@@ -1038,27 +965,8 @@ fn e11_fault_tolerance() -> Vec<Table> {
             "false_grants",
         ],
     );
-    let cases: [(&str, DegradedMode); 3] = [
-        ("fail_closed", DegradedMode::fail_closed()),
-        ("fail_open(half_life=30m)", DegradedMode::fail_open(1800)),
-        (
-            "last_known_good(max_age=1h)",
-            DegradedMode::last_known_good(3600),
-        ),
-    ];
-    for (name, posture) in cases {
-        let mut faulty = paper_household().unwrap();
-        let mut oracle = paper_household().unwrap();
-        let events = generate(&faulty, &workload);
-        let report = run_chaos(
-            &mut faulty,
-            &mut oracle,
-            &events,
-            FaultPlan::random(FaultRates::errors_only(0.1), 4110),
-            resilience,
-            posture,
-        )
-        .unwrap();
+    for (name, posture) in degraded_postures() {
+        let (_, report) = chaos_week(0.1, 4110, posture);
         assert_eq!(
             report.availability(),
             1.0,
@@ -1082,12 +990,7 @@ fn e11_fault_tolerance() -> Vec<Table> {
 /// under E11 fault schedules must both stay deterministic and quantify
 /// what degradation cost via the counterfactual-fresh path.
 fn e12_provenance() -> Vec<Table> {
-    let workload = WorkloadConfig {
-        days: 7,
-        requests_per_person_per_day: 50,
-        move_probability: 0.3,
-        seed: 2000,
-    };
+    let workload = home_workload(7);
 
     // Recorder overhead vs ring capacity. Each measurement replays the
     // full workload on a fresh household (so the events and the policy
@@ -1099,18 +1002,18 @@ fn e12_provenance() -> Vec<Table> {
     );
     let mut baseline_ns = None;
     for capacity in [0usize, 1024, 4096, 16384] {
-        let mut best = f64::INFINITY;
         let mut requests = 0u64;
-        for _ in 0..3 {
-            let mut home = paper_household().unwrap();
-            home.engine_mut().set_flight_recorder_capacity(capacity);
-            let events = generate(&home, &workload);
-            let start = Instant::now();
-            let stats = execute(&mut home, &events).unwrap();
-            let elapsed = start.elapsed();
-            requests = stats.requests;
-            best = best.min(ns_per_op(elapsed, stats.requests as usize));
-        }
+        let fastest = fastest_of(
+            3,
+            || {
+                let mut home = paper_household().unwrap();
+                home.engine_mut().set_flight_recorder_capacity(capacity);
+                let events = generate(&home, &workload);
+                (home, events)
+            },
+            |(home, events)| requests = execute(home, events).unwrap().requests,
+        );
+        let best = ns_per_op(fastest, requests as usize);
         if capacity == 0 {
             baseline_ns = Some(best);
         }
@@ -1143,19 +1046,21 @@ fn e12_provenance() -> Vec<Table> {
     let events = generate(&home, &workload);
     execute(&mut home, &events).unwrap();
     let records = home.flight_recorder().snapshot();
-    {
-        let (reports, unreplayable) = replay_all(&home.engine(), &records, &ForensicQuery::any());
+    let mut replay_row = |policy: &str, engine: &Grbac| {
+        let (reports, unreplayable) = replay_all(engine, &records, &ForensicQuery::any());
         let clean = reports.iter().filter(|r| r.diff.is_clean()).count();
         let flips = reports.iter().filter(|r| r.diff.verdict_flipped).count();
-        assert_eq!(flips, 0, "unchanged policy must replay every verdict");
         fidelity.row(&[
-            "unchanged".to_owned(),
+            policy.to_owned(),
             reports.len().to_string(),
             clean.to_string(),
             flips.to_string(),
             unreplayable.to_string(),
         ]);
-    }
+        flips
+    };
+    let flips = replay_row("unchanged", &home.engine());
+    assert_eq!(flips, 0, "unchanged policy must replay every verdict");
     let flipped_rule = home
         .engine()
         .rules()
@@ -1164,19 +1069,8 @@ fn e12_provenance() -> Vec<Table> {
         .map(grbac_core::rule::Rule::id)
         .expect("paper household has permit rules");
     home.engine_mut().remove_rule(flipped_rule);
-    {
-        let (reports, unreplayable) = replay_all(&home.engine(), &records, &ForensicQuery::any());
-        let clean = reports.iter().filter(|r| r.diff.is_clean()).count();
-        let flips = reports.iter().filter(|r| r.diff.verdict_flipped).count();
-        assert!(flips > 0, "removing a permit rule must flip some verdict");
-        fidelity.row(&[
-            "one permit rule removed".to_owned(),
-            reports.len().to_string(),
-            clean.to_string(),
-            flips.to_string(),
-            unreplayable.to_string(),
-        ]);
-    }
+    let flips = replay_row("one permit rule removed", &home.engine());
+    assert!(flips > 0, "removing a permit rule must flip some verdict");
 
     // Replay under the E11 fault schedules: with the recorded health
     // the replay is deterministic (zero flips); forcing Fresh health on
@@ -1191,34 +1085,8 @@ fn e12_provenance() -> Vec<Table> {
             "counterfactual_flips",
         ],
     );
-    let resilience = ResilienceConfig {
-        max_retries: 1,
-        failure_threshold: 3,
-        open_cooldown_s: 300,
-        ..ResilienceConfig::default()
-    };
-    let cases: [(&str, DegradedMode); 3] = [
-        ("fail_closed", DegradedMode::fail_closed()),
-        ("fail_open(half_life=30m)", DegradedMode::fail_open(1800)),
-        (
-            "last_known_good(max_age=1h)",
-            DegradedMode::last_known_good(3600),
-        ),
-    ];
-    for (name, posture) in cases {
-        let mut faulty = paper_household().unwrap();
-        faulty.engine_mut().set_flight_recorder_capacity(4096);
-        let mut oracle = paper_household().unwrap();
-        let events = generate(&faulty, &workload);
-        run_chaos(
-            &mut faulty,
-            &mut oracle,
-            &events,
-            FaultPlan::random(FaultRates::errors_only(0.1), 4110),
-            resilience,
-            posture,
-        )
-        .unwrap();
+    for (name, posture) in degraded_postures() {
+        let (faulty, _) = chaos_week(0.1, 4110, posture);
         let records = faulty.flight_recorder().snapshot();
         let degraded: Vec<_> = records.iter().filter(|r| r.degraded.is_some()).collect();
         let mut replay_flips = 0u64;
@@ -1260,50 +1128,20 @@ fn e12_provenance() -> Vec<Table> {
 /// mid-workload, and the health report must flag an injected
 /// dead-in-practice rule that static analysis calls live.
 fn e13_policy_health() -> Vec<Table> {
-    let workload = WorkloadConfig {
-        days: 7,
-        requests_per_person_per_day: 50,
-        move_probability: 0.3,
-        seed: 2000,
-    };
+    let workload = home_workload(7);
 
     // 1. Heat-tracking overhead at 4096 rules: same engine, same
-    // requests, the table toggled off (baseline) then on. Best-of-5
-    // minimum per configuration, as in E10.
+    // requests, the table toggled off (baseline) then on. Fastest of
+    // five per configuration, as in E10.
     let mut overhead = Table::new(
         "E13: rule-heat overhead at 4096 rules (runtime toggle)",
         &["heat", "rules", "ns_per_decision", "overhead"],
     );
     {
-        let system = synthetic_grbac(&SyntheticConfig {
-            rules: 4096,
-            subject_roles: 32,
-            object_roles: 32,
-            environment_roles: 16,
-            ..Default::default()
-        });
+        let system = synthetic_grbac(&wide(4096));
         let requests = system.requests(20_000, 3, 3);
         system.engine.decide(&requests[0]).expect("known ids");
-        let best_of = |f: &dyn Fn()| {
-            (0..5)
-                .map(|_| {
-                    let start = Instant::now();
-                    f();
-                    start.elapsed()
-                })
-                .min()
-                .expect("nonempty")
-        };
-        let measure = || {
-            ns_per_op(
-                best_of(&|| {
-                    for request in &requests {
-                        std::hint::black_box(system.engine.decide(request).expect("known ids"));
-                    }
-                }),
-                requests.len(),
-            )
-        };
+        let measure = || fastest_ns(&requests, |r| system.engine.decide(r).expect("known ids"));
         system.engine.metrics().rule_heat.set_enabled(false);
         let off_ns = measure();
         system.engine.metrics().rule_heat.set_enabled(true);
@@ -1322,11 +1160,10 @@ fn e13_policy_health() -> Vec<Table> {
         ]);
     }
 
-    // 2. Watchdogs under E11 fault schedules. Each run replays the E9
-    // workload with the watchdog ticking every 100 events; the fault
-    // layer switches on at the halfway mark, so the first half is the
-    // learned baseline and the second half is the anomaly. A fault-free
-    // run (rate 0.00) must raise zero alerts end to end.
+    // 2. Watchdogs under E11 fault schedules, through the fault-onset
+    // replay: the first half is the learned baseline and the second
+    // half is the anomaly. A fault-free run (rate 0.00) must raise zero
+    // alerts end to end.
     let mut watchdogs = Table::new(
         "E13: watchdog alerts when an E11 fault schedule switches on mid-run",
         &[
@@ -1339,80 +1176,13 @@ fn e13_policy_health() -> Vec<Table> {
     );
     for rate in [0.0, 0.1, 0.3] {
         let mut home = paper_household().unwrap();
-        home.engine_mut()
-            .set_degraded_mode(DegradedMode::fail_closed());
-        // A tighter deviation floor than the default: degraded and
-        // staleness rates are near-constant zero on healthy traffic, so
-        // even the ~1% surge a 10% error rate produces is anomalous.
-        // The noisy signals (deny rate, flaps) are still governed by
-        // their learned deviation, which dominates this floor — and the
-        // longer warmup lets that deviation absorb the household's
-        // daily rhythm (morning role flips span ~3 ticks/day here)
-        // before alerts arm.
-        // min_decisions/min_polls at 60 skip the short remainder window
-        // the onset flush leaves behind: a ~40-decision window carries
-        // binomial sampling noise larger than any learned deviation.
-        home.install_watchdog(grbac_core::telemetry::WatchdogConfig {
-            deviation_floor: 0.002,
-            warmup_ticks: 8,
-            min_decisions: 60,
-            min_polls: 60,
-            ..grbac_core::telemetry::WatchdogConfig::default()
-        });
         let events = generate(&home, &workload);
-        let onset = events.len() / 2;
-        let resilience = ResilienceConfig {
-            max_retries: 1,
-            failure_threshold: 3,
-            open_cooldown_s: 300,
-            ..ResilienceConfig::default()
-        };
-
-        let mut pre_fault_alerts = 0u64;
-        let mut fault_alerts = 0u64;
-        let mut kinds: std::collections::BTreeMap<&'static str, u64> =
-            std::collections::BTreeMap::new();
-        let mut ticks = 0u64;
-        for (i, event) in events.iter().enumerate() {
-            if i == onset {
-                // Close the window straddling the onset so pre-fault
-                // traffic cannot dilute the first faulty window.
-                ticks += 1;
-                pre_fault_alerts += home.watchdog_tick().len() as u64;
-                home.install_fault_layer(
-                    FaultPlan::random(FaultRates::errors_only(rate), 4100 + (rate * 100.0) as u64),
-                    resilience,
-                );
-            }
-            home.advance_to(event.at());
-            match event {
-                grbac_home::workload::WorkloadEvent::Move { subject, zone, .. } => {
-                    home.place(*subject, *zone);
-                }
-                grbac_home::workload::WorkloadEvent::Request {
-                    subject,
-                    transaction,
-                    object,
-                    ..
-                } => {
-                    home.request(*subject, *transaction, *object).unwrap();
-                }
-            }
-            if (i + 1) % 100 == 0 {
-                ticks += 1;
-                for alert in home.watchdog_tick() {
-                    if i < onset {
-                        pre_fault_alerts += 1;
-                    } else {
-                        fault_alerts += 1;
-                        *kinds.entry(alert.kind.name()).or_default() += 1;
-                    }
-                }
-            }
-        }
+        let plan = FaultPlan::random(FaultRates::errors_only(rate), 4100 + (rate * 100.0) as u64);
+        let replay = fault_onset_replay(&mut home, &events, plan);
+        let fault_alerts: u64 = replay.fault_alerts.values().sum();
         if grbac_core::telemetry::ENABLED {
             assert_eq!(
-                pre_fault_alerts, 0,
+                replay.pre_fault_alerts, 0,
                 "watchdogs must not alert on fault-free traffic (rate {rate})"
             );
             if rate == 0.0 {
@@ -1424,10 +1194,11 @@ fn e13_policy_health() -> Vec<Table> {
                 );
             }
         }
-        let kind_list = if kinds.is_empty() {
+        let kind_list = if replay.fault_alerts.is_empty() {
             "-".to_owned()
         } else {
-            kinds
+            replay
+                .fault_alerts
                 .iter()
                 .map(|(kind, count)| format!("{kind}:{count}"))
                 .collect::<Vec<_>>()
@@ -1435,17 +1206,15 @@ fn e13_policy_health() -> Vec<Table> {
         };
         watchdogs.row(&[
             format!("{rate:.2}"),
-            ticks.to_string(),
-            pre_fault_alerts.to_string(),
+            replay.ticks.to_string(),
+            replay.pre_fault_alerts.to_string(),
             fault_alerts.to_string(),
             kind_list,
         ]);
     }
 
-    // 3. Dead-in-practice detection: a permit rule gated on a declared
-    // environment role no provider definition ever activates. Static
-    // analysis calls it live (its subject role has members, nothing
-    // shadows it); the health report's heat join flags it.
+    // 3. Dead-in-practice detection: static analysis calls the injected
+    // rule live; the health report's heat join flags it.
     let mut dead = Table::new(
         "E13: health report vs static analysis on an injected dead rule",
         &[
@@ -1460,22 +1229,7 @@ fn e13_policy_health() -> Vec<Table> {
     );
     {
         let mut home = paper_household().unwrap();
-        let vocab = *home.vocab();
-        let eclipse = home
-            .engine_mut()
-            .declare_environment_role("solar_eclipse")
-            .unwrap();
-        let injected = home
-            .engine_mut()
-            .add_rule(
-                RuleDef::permit()
-                    .named("eclipse viewing")
-                    .subject_role(vocab.child)
-                    .object_role(vocab.entertainment_device)
-                    .transaction(vocab.operate)
-                    .when(eclipse),
-            )
-            .unwrap();
+        let injected = inject_dead_rule(&mut home);
         let events = generate(&home, &workload);
         execute(&mut home, &events).unwrap();
 
@@ -1538,13 +1292,7 @@ fn e14_incremental_churn() -> Vec<Table> {
     );
 
     for rules in [1024usize, 4096] {
-        let mut system = synthetic_grbac(&SyntheticConfig {
-            rules,
-            subject_roles: 32,
-            object_roles: 32,
-            environment_roles: 16,
-            ..Default::default()
-        });
+        let mut system = synthetic_grbac(&wide(rules));
         // Spare role pairs declared up front so later edge edits touch
         // an index that already contains both endpoints.
         let spares: Vec<(grbac_core::id::RoleId, grbac_core::id::RoleId)> = (0..16)
@@ -1641,43 +1389,34 @@ fn e14_incremental_churn() -> Vec<Table> {
         // 3. Decide p99, churn-free vs one edit per 50 decides. The
         // first decide after each edit pays the delta application, so
         // the tail reflects exactly what a live mediator would see.
-        let p99 = |samples: &mut Vec<u64>| -> u64 {
-            samples.sort_unstable();
-            samples[(samples.len() - 1) * 99 / 100]
-        };
-        let mut churn_free: Vec<u64> = Vec::with_capacity(requests.len());
-        for request in &requests {
-            let start = Instant::now();
-            std::hint::black_box(system.engine.decide(request).expect("known ids"));
-            churn_free.push(start.elapsed().as_nanos() as u64);
-        }
-        let churn_free_p99 = p99(&mut churn_free);
-
-        let mut churned: Vec<u64> = Vec::with_capacity(requests.len());
         let mut edits = 0u64;
         let mut toggle: Option<grbac_core::id::RuleId> = None;
-        for (i, request) in requests.iter().enumerate() {
-            if i % 50 == 0 {
-                match toggle.take() {
-                    Some(id) => {
-                        assert!(system.engine.remove_rule(id));
+        let [churn_free_p99, churn_p99] = [false, true].map(|churn| {
+            let mut samples: Vec<u64> = Vec::with_capacity(requests.len());
+            for (i, request) in requests.iter().enumerate() {
+                if churn && i % 50 == 0 {
+                    match toggle.take() {
+                        Some(id) => {
+                            assert!(system.engine.remove_rule(id));
+                        }
+                        None => {
+                            toggle = Some(
+                                system
+                                    .engine
+                                    .add_rule(RuleDef::deny().transaction(tx).when(env))
+                                    .expect("valid ids"),
+                            );
+                        }
                     }
-                    None => {
-                        toggle = Some(
-                            system
-                                .engine
-                                .add_rule(RuleDef::deny().transaction(tx).when(env))
-                                .expect("valid ids"),
-                        );
-                    }
+                    edits += 1;
                 }
-                edits += 1;
+                let start = Instant::now();
+                std::hint::black_box(system.engine.decide(request).expect("known ids"));
+                samples.push(start.elapsed().as_nanos() as u64);
             }
-            let start = Instant::now();
-            std::hint::black_box(system.engine.decide(request).expect("known ids"));
-            churned.push(start.elapsed().as_nanos() as u64);
-        }
-        let churn_p99 = p99(&mut churned);
+            samples.sort_unstable();
+            samples[(samples.len() - 1) * 99 / 100]
+        });
         tail.row(&[
             rules.to_string(),
             churn_free_p99.to_string(),
@@ -1696,9 +1435,6 @@ fn e14_incremental_churn() -> Vec<Table> {
 /// engine's read lock, so the cost is snapshot + render CPU; the
 /// acceptance bound is ≤2% decide-throughput overhead.
 fn e15_obs_overhead() -> Vec<Table> {
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::{Arc, RwLock};
-
     let mut table = Table::new(
         "E15: decide throughput under concurrent /metrics scrapes",
         &[
@@ -1709,138 +1445,107 @@ fn e15_obs_overhead() -> Vec<Table> {
             "scrapes",
         ],
     );
-    for rules in [1024usize] {
-        let system = synthetic_grbac(&SyntheticConfig {
-            rules,
-            subject_roles: 32,
-            object_roles: 32,
-            environment_roles: 16,
-            ..Default::default()
-        });
-        let requests = system.requests(20_000, 3, 3);
-        system.engine.decide(&requests[0]).expect("known ids");
-        let engine = Arc::new(RwLock::new(system.engine));
+    let rules = 1024usize;
+    let system = synthetic_grbac(&wide(rules));
+    let requests = system.requests(20_000, 3, 3);
+    system.engine.decide(&requests[0]).expect("known ids");
+    let engine = Arc::new(RwLock::new(system.engine));
 
-        // One measured window: decide continuously for at least
-        // WINDOW wall-clock time, returning the mean ns per decide.
-        // Long windows (spanning several scrape intervals) make the
-        // mean capture the scraper's duty cycle honestly, where a
-        // minimum-of-short-passes estimator would either dodge every
-        // scrape or be swamped by scheduler noise on a small machine.
-        const WINDOW: std::time::Duration = std::time::Duration::from_millis(1_200);
-        let window = || {
-            let mut ops = 0usize;
-            let start = Instant::now();
-            loop {
-                for request in &requests {
-                    let g = engine.read().expect("engine lock");
-                    std::hint::black_box(g.decide(request).expect("known ids"));
-                }
-                ops += requests.len();
-                if start.elapsed() >= WINDOW {
-                    break;
-                }
+    // One measured window: decide continuously for at least
+    // WINDOW wall-clock time, returning the mean ns per decide.
+    // Long windows (spanning several scrape intervals) make the
+    // mean capture the scraper's duty cycle honestly, where a
+    // minimum-of-short-passes estimator would either dodge every
+    // scrape or be swamped by scheduler noise on a small machine.
+    const WINDOW: std::time::Duration = std::time::Duration::from_millis(1_200);
+    let window = || {
+        let mut ops = 0usize;
+        let start = Instant::now();
+        loop {
+            for request in &requests {
+                let g = engine.read().expect("engine lock");
+                std::hint::black_box(g.decide(request).expect("known ids"));
             }
-            ns_per_op(start.elapsed(), ops)
-        };
-
-        // The server and the scraper thread run for the WHOLE
-        // experiment, baseline windows included; only the `active`
-        // flag differs between conditions. That keeps thread count
-        // and wakeup pattern identical, so the comparison isolates
-        // the scrape work itself. Cadence is 500ms — 30x more
-        // aggressive than the default Prometheus interval of 15s —
-        // and on a single-core machine every scrape millisecond is
-        // stolen directly from the decide loop.
-        let server = grbac_obs::ObsServer::serve(
-            grbac_obs::EngineObs::new(Arc::clone(&engine)),
-            "127.0.0.1:0",
-        )
-        .expect("ephemeral bind");
-        let addr = server.addr();
-        let stop = Arc::new(AtomicBool::new(false));
-        let active = Arc::new(AtomicBool::new(false));
-        let scrapes = Arc::new(AtomicU64::new(0));
-        let scraper = {
-            let stop = Arc::clone(&stop);
-            let active = Arc::clone(&active);
-            let scrapes = Arc::clone(&scrapes);
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::Acquire) {
-                    if active.load(Ordering::Acquire) {
-                        let (status, body) = grbac_obs::get(addr, "/metrics").expect("scrape");
-                        assert_eq!(status, 200);
-                        std::hint::black_box(body.len());
-                        scrapes.fetch_add(1, Ordering::Relaxed);
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(500));
-                }
-            })
-        };
-
-        // Paired, interleaved rounds: each round measures a quiet
-        // window then a scraped window back to back, so slow drift
-        // (thermal, frequency scaling, background load) hits both
-        // sides of the ratio equally. The median ratio across rounds
-        // rejects the odd round that catches a machine-wide hiccup.
-        const ROUNDS: usize = 3;
-        std::hint::black_box(window()); // warmup, discarded
-        let mut baselines = Vec::with_capacity(ROUNDS);
-        let mut scraped = Vec::with_capacity(ROUNDS);
-        let mut ratios = Vec::with_capacity(ROUNDS);
-        for _ in 0..ROUNDS {
-            active.store(false, Ordering::Release);
-            let b = window();
-            active.store(true, Ordering::Release);
-            let s = window();
-            baselines.push(b);
-            scraped.push(s);
-            ratios.push(s / b);
+            ops += requests.len();
+            if start.elapsed() >= WINDOW {
+                break;
+            }
         }
-        stop.store(true, Ordering::Release);
-        scraper.join().expect("scraper joins");
-        let scrape_count = scrapes.load(Ordering::Relaxed);
-        server.shutdown();
+        ns_per_op(start.elapsed(), ops)
+    };
 
-        let median = |values: &mut Vec<f64>| {
-            values.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            values[values.len() / 2]
-        };
-        let baseline_ns = median(&mut baselines);
-        let scraped_ns = median(&mut scraped);
-        let overhead_pct = ((median(&mut ratios) - 1.0) * 100.0).max(0.0);
-        assert!(
-            scrape_count > 0,
-            "the scraper must actually exercise the endpoint"
-        );
-        assert!(
-            overhead_pct <= 2.0,
-            "scrape overhead must stay within 2% of decide throughput \
-             (baseline {baseline_ns:.0}ns, scraped {scraped_ns:.0}ns, {overhead_pct:.2}%)"
-        );
+    // The server and the scraper thread run for the WHOLE
+    // experiment, baseline windows included; only the `active`
+    // flag differs between conditions. That keeps thread count
+    // and wakeup pattern identical, so the comparison isolates
+    // the scrape work itself. Cadence is 500ms — 30x more
+    // aggressive than the default Prometheus interval of 15s —
+    // and on a single-core machine every scrape millisecond is
+    // stolen directly from the decide loop.
+    let server = grbac_obs::ObsServer::serve(
+        grbac_obs::EngineObs::new(Arc::clone(&engine)),
+        "127.0.0.1:0",
+    )
+    .expect("ephemeral bind");
+    let addr = server.addr();
+    let stop = Arc::new(AtomicBool::new(false));
+    let active = Arc::new(AtomicBool::new(false));
+    let scrapes = Arc::new(AtomicU64::new(0));
+    let scraper = {
+        let stop = Arc::clone(&stop);
+        let active = Arc::clone(&active);
+        let scrapes = Arc::clone(&scrapes);
+        std::thread::spawn(move || {
+            while !stop.load(Ordering::Acquire) {
+                if active.load(Ordering::Acquire) {
+                    let (status, body) = grbac_obs::get(addr, "/metrics").expect("scrape");
+                    assert_eq!(status, 200);
+                    std::hint::black_box(body.len());
+                    scrapes.fetch_add(1, Ordering::Relaxed);
+                }
+                std::thread::sleep(std::time::Duration::from_millis(500));
+            }
+        })
+    };
 
-        table.row(&[
-            rules.to_string(),
-            format!("{baseline_ns:.0}"),
-            format!("{scraped_ns:.0}"),
-            format!("{overhead_pct:.2}"),
-            scrape_count.to_string(),
-        ]);
-    }
+    let paired = measure::paired(|side| {
+        active.store(side == Side::Treatment, Ordering::Release);
+        window()
+    });
+    stop.store(true, Ordering::Release);
+    scraper.join().expect("scraper joins");
+    let scrape_count = scrapes.load(Ordering::Relaxed);
+    server.shutdown();
+
+    let baseline_ns = paired.median(Side::Baseline, |ns| *ns);
+    let scraped_ns = paired.median(Side::Treatment, |ns| *ns);
+    let overhead_pct = ((paired.median_ratio(|ns| *ns) - 1.0) * 100.0).max(0.0);
+    assert!(
+        scrape_count > 0,
+        "the scraper must actually exercise the endpoint"
+    );
+    assert!(
+        overhead_pct <= 2.0,
+        "scrape overhead must stay within 2% of decide throughput \
+         (baseline {baseline_ns:.0}ns, scraped {scraped_ns:.0}ns, {overhead_pct:.2}%)"
+    );
+
+    table.row(&[
+        rules.to_string(),
+        format!("{baseline_ns:.0}"),
+        format!("{scraped_ns:.0}"),
+        format!("{overhead_pct:.2}"),
+        scrape_count.to_string(),
+    ]);
     vec![table]
 }
+
+/// Wire windows in E16–E18: long enough for thousands of round trips.
+const WIRE_WINDOW: std::time::Duration = std::time::Duration::from_millis(800);
 
 /// E16 — multi-tenant policy service: decide p99 isolation under
 /// cross-tenant policy churn, measured at the wire.
 fn e16_service_tenancy() -> Vec<Table> {
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::Arc;
-
-    use grbac_bench::serveload::{
-        parse_rule_id, percentile_us, remove_rule_line, LatencyRecorder, WireLoad,
-    };
-    use grbac_serve::{Client, PolicyService, ServeServer};
-
     let mut table = Table::new(
         "E16: wire decide p99 per tenant, quiet vs cross-tenant policy churn",
         &[
@@ -1855,153 +1560,43 @@ fn e16_service_tenancy() -> Vec<Table> {
     );
 
     const RULES: usize = 1_024;
-    const SUBJECT_ROLES: usize = 32;
     const TENANTS: [&str; 2] = ["a", "b"];
     const CONNS_PER_TENANT: usize = 2;
 
-    let service = Arc::new(PolicyService::with_defaults());
-    for (i, tenant) in TENANTS.iter().enumerate() {
-        let system = synthetic_grbac(&SyntheticConfig {
-            rules: RULES,
-            subject_roles: SUBJECT_ROLES,
-            object_roles: 32,
-            environment_roles: 16,
-            seed: i as u64 + 1,
-            ..Default::default()
-        });
-        service
-            .create_tenant_with_engine(tenant, system.engine)
-            .expect("tenant provisioned");
-    }
-    let server = ServeServer::serve(Arc::clone(&service), "127.0.0.1:0").expect("ephemeral bind");
-    let addr = server.local_addr();
+    let (service, server, addr) = self_host(RULES, TENANTS.iter().zip(1..));
 
-    // Decide drivers run for the WHOLE experiment; recorders gate
-    // which windows contribute samples. Churn likewise runs on a
-    // persistent thread gated by `churn_active`, so thread count and
-    // connection state are identical in both conditions (the E15
-    // discipline) and the comparison isolates the churn work itself.
-    let stop = Arc::new(AtomicBool::new(false));
+    // Decide drivers and the churn connection run for the WHOLE
+    // experiment; only the churn's active flag differs between
+    // conditions, so thread count and connection state are identical
+    // in both (the E15 discipline) and the comparison isolates the
+    // churn work itself.
+    let samples: Vec<Arc<Samples>> = TENANTS.iter().map(|_| Arc::default()).collect();
+    let mut load = Load::default();
+    for (t, tenant) in TENANTS.iter().enumerate() {
+        for c in 0..CONNS_PER_TENANT {
+            let lines = WireLoad::wide(tenant, (t * 97 + c) as u64).decide_lines(512);
+            load.drive(&addr, lines, &samples[t], true);
+        }
+    }
     let churn_active = Arc::new(AtomicBool::new(false));
     let edits = Arc::new(AtomicU64::new(0));
-    let recorders: Vec<Arc<LatencyRecorder>> = TENANTS
-        .iter()
-        .map(|_| Arc::new(LatencyRecorder::new()))
-        .collect();
+    load.churn(&addr, "a", &churn_active, &edits);
 
-    let drivers: Vec<_> = TENANTS
-        .iter()
-        .enumerate()
-        .flat_map(|(t, tenant)| {
-            (0..CONNS_PER_TENANT)
-                .map(move |c| (t, *tenant, c))
-                .collect::<Vec<_>>()
-        })
-        .map(|(t, tenant, c)| {
-            let recorder = Arc::clone(&recorders[t]);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let load = WireLoad {
-                    tenant: tenant.to_owned(),
-                    subjects: 32,
-                    objects: 32,
-                    transactions: 4,
-                    environment_roles: 16,
-                    active_env: 3,
-                    seed: (t * 97 + c) as u64,
-                };
-                let lines = load.decide_lines(512);
-                let mut client = Client::connect(addr).expect("driver connect");
-                'drive: loop {
-                    for line in &lines {
-                        if stop.load(Ordering::Acquire) {
-                            break 'drive;
-                        }
-                        let sent = Instant::now();
-                        let response = client.request_line(line).expect("wire decide");
-                        assert!(response.contains("\"ok\":true"), "{response}");
-                        recorder.record(sent.elapsed().as_nanos() as u64);
-                    }
-                }
-            })
-        })
-        .collect();
-
-    let churner = {
-        let stop = Arc::clone(&stop);
-        let active = Arc::clone(&churn_active);
-        let edits = Arc::clone(&edits);
-        std::thread::spawn(move || {
-            let load = WireLoad {
-                tenant: "a".to_owned(),
-                subjects: 32,
-                objects: 32,
-                transactions: 4,
-                environment_roles: 16,
-                active_env: 3,
-                seed: 0,
-            };
-            let mut client = Client::connect(addr).expect("churn connect");
-            let mut i = 0usize;
-            while !stop.load(Ordering::Acquire) {
-                if active.load(Ordering::Acquire) {
-                    // Bounded bursts: 8 edit pairs, then a breath, so
-                    // churn is sustained but the policy never grows.
-                    for _ in 0..8 {
-                        let added = client
-                            .request_line(&load.add_rule_line(i, SUBJECT_ROLES))
-                            .expect("churn add");
-                        let rule = parse_rule_id(&added).expect("rule id in response");
-                        let removed = client
-                            .request_line(&remove_rule_line("a", rule))
-                            .expect("churn remove");
-                        assert!(removed.contains("\"removed\":true"), "{removed}");
-                        edits.fetch_add(2, Ordering::Relaxed);
-                        i += 1;
-                    }
-                }
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            }
-        })
-    };
-
-    // Paired interleaved windows, median-of-ratios over rounds: slow
-    // machine-wide drift hits both sides of each pair equally, and the
-    // median rejects the odd round that catches a hiccup.
-    const WINDOW: std::time::Duration = std::time::Duration::from_millis(800);
-    const ROUNDS: usize = 3;
-    let window = |recorders: &[Arc<LatencyRecorder>]| -> Vec<Vec<u64>> {
-        for recorder in recorders {
-            let _ = recorder.drain();
-            recorder.set_recording(true);
-        }
-        std::thread::sleep(WINDOW);
-        for recorder in recorders {
-            recorder.set_recording(false);
-        }
-        recorders.iter().map(|r| r.drain()).collect()
-    };
-
-    std::thread::sleep(WINDOW); // warmup, discarded
-    let generation_before = service.handle_line(r#"{"op":"status","tenant":"b"}"#);
-    let mut quiet_rounds: Vec<Vec<Vec<u64>>> = Vec::with_capacity(ROUNDS);
-    let mut churn_rounds: Vec<Vec<Vec<u64>>> = Vec::with_capacity(ROUNDS);
+    let status_b = || service.handle_line(r#"{"op":"status","tenant":"b"}"#);
+    let generation_before = status_b();
     let mut churn_edits = 0u64;
-    for _ in 0..ROUNDS {
-        churn_active.store(false, Ordering::Release);
-        quiet_rounds.push(window(&recorders));
-        churn_active.store(true, Ordering::Release);
+    let paired = measure::paired(|side| {
+        churn_active.store(side == Side::Treatment, Ordering::Release);
         let edits_before = edits.load(Ordering::Relaxed);
-        churn_rounds.push(window(&recorders));
-        churn_edits += edits.load(Ordering::Relaxed) - edits_before;
-    }
+        let windows = record_window(&samples, WIRE_WINDOW);
+        if side == Side::Treatment {
+            churn_edits += edits.load(Ordering::Relaxed) - edits_before;
+        }
+        windows
+    });
     churn_active.store(false, Ordering::Release);
-    let generation_after = service.handle_line(r#"{"op":"status","tenant":"b"}"#);
-    stop.store(true, Ordering::Release);
-    for driver in drivers {
-        driver.join().expect("driver joins");
-    }
-    churner.join().expect("churner joins");
+    let generation_after = status_b();
+    load.join();
     server.shutdown();
 
     assert!(
@@ -2013,27 +1608,11 @@ fn e16_service_tenancy() -> Vec<Table> {
         "tenant-b policy state changed under tenant-a churn"
     );
 
-    let median = |values: &mut Vec<f64>| {
-        values.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        values[values.len() / 2]
-    };
-    let churn_secs = WINDOW.as_secs_f64() * ROUNDS as f64;
+    let churn_secs = WIRE_WINDOW.as_secs_f64() * ROUNDS as f64;
     for (t, tenant) in TENANTS.iter().enumerate() {
-        let mut quiet_p99s: Vec<f64> = Vec::with_capacity(ROUNDS);
-        let mut churn_p99s: Vec<f64> = Vec::with_capacity(ROUNDS);
-        let mut ratios: Vec<f64> = Vec::with_capacity(ROUNDS);
-        let mut churn_decides = 0usize;
-        for round in 0..ROUNDS {
-            let mut quiet = quiet_rounds[round][t].clone();
-            let mut churn = churn_rounds[round][t].clone();
-            churn_decides += churn.len();
-            let q = percentile_us(&mut quiet, 99.0);
-            let c = percentile_us(&mut churn, 99.0);
-            quiet_p99s.push(q);
-            churn_p99s.push(c);
-            ratios.push(if q > 0.0 { c / q } else { 1.0 });
-        }
-        let ratio = median(&mut ratios);
+        let ratio = paired.median_ratio(|windows| windows[t].p99_us);
+        let quiet_p99 = paired.median(Side::Baseline, |windows| windows[t].p99_us);
+        let churn_p99 = paired.median(Side::Treatment, |windows| windows[t].p99_us);
         if *tenant == "b" {
             // The isolation claim: tenant-a churn may cost tenant a
             // itself, but tenant b's wire p99 stays within 1.5x of
@@ -2041,16 +1620,19 @@ fn e16_service_tenancy() -> Vec<Table> {
             assert!(
                 ratio <= 1.5,
                 "tenant-b decide p99 degraded {ratio:.2}x under tenant-a churn \
-                 (quiet {:.1}us, churn {:.1}us)",
-                median(&mut quiet_p99s.clone()),
-                median(&mut churn_p99s.clone()),
+                 (quiet {quiet_p99:.1}us, churn {churn_p99:.1}us)",
             );
         }
+        let churn_decides: usize = paired
+            .rounds
+            .iter()
+            .map(|(_, churn)| churn[t].decides)
+            .sum();
         table.row(&[
             (*tenant).to_owned(),
             RULES.to_string(),
-            format!("{:.1}", median(&mut quiet_p99s)),
-            format!("{:.1}", median(&mut churn_p99s)),
+            format!("{quiet_p99:.1}"),
+            format!("{churn_p99:.1}"),
             format!("{ratio:.2}"),
             format!("{:.0}", churn_decides as f64 / churn_secs),
             format!("{:.0}", churn_edits as f64 / churn_secs),
@@ -2062,30 +1644,11 @@ fn e16_service_tenancy() -> Vec<Table> {
 /// E17 — wire request tracing: decide throughput with the span store
 /// on vs off, and slow-stage attribution from the wire alone.
 fn e17_tracing_overhead() -> Vec<Table> {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-
-    use grbac_bench::serveload::{percentile_us, LatencyRecorder, WireLoad};
-    use grbac_serve::{Client, PolicyService, ServeServer};
-
     const RULES: usize = 1_024;
-    const CONNS: usize = 2;
+    const CONNS: u64 = 2;
 
-    let service = Arc::new(PolicyService::with_defaults());
-    let system = synthetic_grbac(&SyntheticConfig {
-        rules: RULES,
-        subject_roles: 32,
-        object_roles: 32,
-        environment_roles: 16,
-        seed: 1,
-        ..Default::default()
-    });
-    service
-        .create_tenant_with_engine("t", system.engine)
-        .expect("tenant provisioned");
+    let (service, server, addr) = self_host(RULES, [("t", 1)]);
     let store = Arc::clone(service.span_store());
-    let server = ServeServer::serve(Arc::clone(&service), "127.0.0.1:0").expect("ephemeral bind");
-    let addr = server.local_addr();
     let obs = service
         .serve_observability("t", "127.0.0.1:0")
         .expect("obs plane binds");
@@ -2098,13 +1661,6 @@ fn e17_tracing_overhead() -> Vec<Table> {
     // context (the harshest case, informational) and one in 8 (the
     // store's default self-sampling rate — the posture the <=5%
     // overhead claim is asserted on).
-    const WINDOW: std::time::Duration = std::time::Duration::from_millis(800);
-    const ROUNDS: usize = 3;
-    let median = |values: &mut Vec<f64>| {
-        values.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        values[values.len() / 2]
-    };
-
     let mut table = Table::new(
         "E17: wire decide throughput, span store on vs off",
         &[
@@ -2118,91 +1674,26 @@ fn e17_tracing_overhead() -> Vec<Table> {
         ],
     );
     for trace_every in [1usize, 8] {
-        let stop = Arc::new(AtomicBool::new(false));
-        let recorder = Arc::new(LatencyRecorder::new());
-        let drivers: Vec<_> = (0..CONNS)
-            .map(|c| {
-                let recorder = Arc::clone(&recorder);
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    let load = WireLoad {
-                        tenant: "t".to_owned(),
-                        subjects: 32,
-                        objects: 32,
-                        transactions: 4,
-                        environment_roles: 16,
-                        active_env: 3,
-                        seed: c as u64 + 1,
-                    };
-                    let lines = load.traced_decide_lines(512, trace_every);
-                    let mut client = Client::connect(addr).expect("driver connect");
-                    'drive: loop {
-                        for line in &lines {
-                            if stop.load(Ordering::Acquire) {
-                                break 'drive;
-                            }
-                            let sent = Instant::now();
-                            let response = client.request_line(line).expect("wire decide");
-                            assert!(response.contains("\"ok\":true"), "{response}");
-                            recorder.record(sent.elapsed().as_nanos() as u64);
-                        }
-                    }
-                })
-            })
-            .collect();
-
-        // Paired interleaved windows, median-of-ratios over rounds.
-        let window = || -> Vec<u64> {
-            let _ = recorder.drain();
-            recorder.set_recording(true);
-            std::thread::sleep(WINDOW);
-            recorder.set_recording(false);
-            recorder.drain()
-        };
-
-        std::thread::sleep(WINDOW); // warmup, discarded
+        let samples = [Arc::default()];
+        store.set_enabled(false);
+        let mut load = Load::default();
+        for seed in 1..=CONNS {
+            let lines = WireLoad::wide("t", seed).traced_decide_lines(512, trace_every);
+            load.drive(&addr, lines, &samples[0], true);
+        }
         let spans_before = store.total_recorded();
-        let mut off_counts: Vec<f64> = Vec::with_capacity(ROUNDS);
-        let mut on_counts: Vec<f64> = Vec::with_capacity(ROUNDS);
-        let mut off_p50s: Vec<f64> = Vec::with_capacity(ROUNDS);
-        let mut on_p50s: Vec<f64> = Vec::with_capacity(ROUNDS);
-        let mut ratios: Vec<f64> = Vec::with_capacity(ROUNDS);
-        // A paired ratio is a steady-state property, but any single
-        // 800ms window pair can catch scheduler noise: when the median
-        // over the base rounds lands under the asserted bar, keep
-        // measuring (up to 4x the rounds) and let the median over the
-        // larger sample decide. Escalation only adds evidence — it
-        // never relaxes the 0.95 bar itself.
-        const MAX_ROUNDS: usize = 4 * ROUNDS;
-        while ratios.len() < MAX_ROUNDS {
-            store.set_enabled(false);
-            let mut off = window();
-            store.set_enabled(true);
-            let mut on = window();
-            off_p50s.push(percentile_us(&mut off, 50.0));
-            on_p50s.push(percentile_us(&mut on, 50.0));
-            off_counts.push(off.len() as f64);
-            on_counts.push(on.len() as f64);
-            ratios.push(if off.is_empty() {
-                1.0
-            } else {
-                on.len() as f64 / off.len() as f64
-            });
-            if ratios.len() >= ROUNDS && (trace_every != 8 || median(&mut ratios) >= 0.95) {
-                break;
-            }
-        }
-        stop.store(true, Ordering::Release);
-        for driver in drivers {
-            driver.join().expect("driver joins");
-        }
+        let paired = measure::paired(|side| {
+            store.set_enabled(side == Side::Treatment);
+            record_window(&samples, WIRE_WINDOW)[0]
+        });
+        load.join();
         let spans_recorded = store.total_recorded() - spans_before;
         assert!(
             spans_recorded > 0,
             "the tracing-on windows must actually record spans"
         );
 
-        let throughput_ratio = median(&mut ratios);
+        let throughput_ratio = paired.median_ratio(|window| window.decides as f64);
         if trace_every == 8 {
             assert!(
                 throughput_ratio >= 0.95,
@@ -2210,14 +1701,21 @@ fn e17_tracing_overhead() -> Vec<Table> {
                  must stay within 5% of tracing-off (ratio {throughput_ratio:.3})"
             );
         }
-        let per_s = WINDOW.as_secs_f64();
+        let per_s =
+            |side| paired.median(side, |window| window.decides as f64) / WIRE_WINDOW.as_secs_f64();
         table.row(&[
             trace_every.to_string(),
-            format!("{:.0}", median(&mut off_counts) / per_s),
-            format!("{:.0}", median(&mut on_counts) / per_s),
+            format!("{:.0}", per_s(Side::Baseline)),
+            format!("{:.0}", per_s(Side::Treatment)),
             format!("{throughput_ratio:.3}"),
-            format!("{:.1}", median(&mut off_p50s)),
-            format!("{:.1}", median(&mut on_p50s)),
+            format!(
+                "{:.1}",
+                paired.median(Side::Baseline, |window| window.p50_us)
+            ),
+            format!(
+                "{:.1}",
+                paired.median(Side::Treatment, |window| window.p50_us)
+            ),
             spans_recorded.to_string(),
         ]);
     }
@@ -2242,7 +1740,7 @@ fn e17_tracing_overhead() -> Vec<Table> {
     // Give the holder time to take the lock before the probe arrives.
     std::thread::sleep(std::time::Duration::from_millis(10));
     let trace_hex = "00000000000000e1700000000000000f";
-    let mut probe = Client::connect(addr).expect("probe connect");
+    let mut probe = Client::connect(&addr).expect("probe connect");
     let response = probe
         .request_line(&format!(
             r#"{{"op":"decide","tenant":"t","subject":"s_0","transaction":"t_0","object":"o_0","trace":"{trace_hex}-000000000000e170-01"}}"#
@@ -2260,13 +1758,7 @@ fn e17_tracing_overhead() -> Vec<Table> {
         .and_then(serde_json::Value::as_seq)
         .and_then(|roots| roots.first())
         .expect("server span present");
-    let duration = |node: &serde_json::Value| -> u64 {
-        match node.get("duration_ns") {
-            Some(serde_json::Value::UInt(ns)) => *ns,
-            Some(serde_json::Value::Int(ns)) => *ns as u64,
-            other => panic!("duration_ns missing: {other:?}"),
-        }
-    };
+    let duration = |node| uint_field(node, "duration_ns").expect("span durations");
     let total_ns = duration(server_span);
     let children = server_span
         .get("children")
@@ -2320,122 +1812,47 @@ fn e17_tracing_overhead() -> Vec<Table> {
 /// compared to the obs plane's 500 ms scrape cadence, and (3) exact
 /// backpressure accounting when a wire subscriber stalls.
 fn e18_live_telemetry() -> Vec<Table> {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-
-    use grbac_bench::serveload::{LatencyRecorder, WireLoad};
-    use grbac_core::telemetry::EventFilter;
-    use grbac_serve::{Client, PolicyService, ServeServer};
-
     const RULES: usize = 1_024;
-    const CONNS: usize = 2;
+    const CONNS: u64 = 2;
     /// The obs plane's metrics-history capture cadence — the pull-side
     /// latency floor the push plane is measured against.
     const SCRAPE_INTERVAL_MS: u64 = 500;
 
-    let service = Arc::new(PolicyService::with_defaults());
-    let system = synthetic_grbac(&SyntheticConfig {
-        rules: RULES,
-        subject_roles: 32,
-        object_roles: 32,
-        environment_roles: 16,
-        seed: 1,
-        ..Default::default()
-    });
-    service
-        .create_tenant_with_engine("t", system.engine)
-        .expect("tenant provisioned");
-    let server = ServeServer::serve(Arc::clone(&service), "127.0.0.1:0").expect("ephemeral bind");
-    let addr = server.local_addr();
+    let (service, server, addr) = self_host(RULES, [("t", 1)]);
     let tenant = service.tenant("t").expect("tenant exists");
     let registry = Arc::clone(tenant.engine.read().expect("engine lock").metrics());
 
     // ---- (1) publish-path cost under sustained wire decides ----
     //
     // The same E15/E16/E17 discipline: drivers send identical lines
-    // continuously; paired interleaved 800ms windows differ ONLY in
-    // whether a subscriber is registered on the tenant's bus. The
-    // subscriber is the worst realistic consumer — it never drains, so
-    // every publish pays ring push + drop-oldest eviction forever.
-    const WINDOW: std::time::Duration = std::time::Duration::from_millis(800);
-    const ROUNDS: usize = 3;
-    let median = |values: &mut Vec<f64>| {
-        values.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        values[values.len() / 2]
-    };
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let recorder = Arc::new(LatencyRecorder::new());
-    let drivers: Vec<_> = (0..CONNS)
-        .map(|c| {
-            let recorder = Arc::clone(&recorder);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let load = WireLoad {
-                    tenant: "t".to_owned(),
-                    subjects: 32,
-                    objects: 32,
-                    transactions: 4,
-                    environment_roles: 16,
-                    active_env: 3,
-                    seed: c as u64 + 1,
-                };
-                let lines = load.decide_lines(512);
-                let mut client = Client::connect(addr).expect("driver connect");
-                'drive: loop {
-                    for line in &lines {
-                        if stop.load(Ordering::Acquire) {
-                            break 'drive;
-                        }
-                        let sent = Instant::now();
-                        let response = client.request_line(line).expect("wire decide");
-                        assert!(response.contains("\"ok\":true"), "{response}");
-                        recorder.record(sent.elapsed().as_nanos() as u64);
-                    }
-                }
-            })
-        })
-        .collect();
-
-    let window = || -> Vec<u64> {
-        let _ = recorder.drain();
-        recorder.set_recording(true);
-        std::thread::sleep(WINDOW);
-        recorder.set_recording(false);
-        recorder.drain()
-    };
-
-    std::thread::sleep(WINDOW); // warmup, discarded
-    let mut off_counts: Vec<f64> = Vec::new();
-    let mut on_counts: Vec<f64> = Vec::new();
-    let mut ratios: Vec<f64> = Vec::new();
+    // continuously; paired windows differ ONLY in whether a subscriber
+    // is registered on the tenant's bus. The subscriber is the worst
+    // realistic consumer — it never drains, so every publish pays ring
+    // push + drop-oldest eviction forever.
+    let samples = [Arc::default()];
+    let mut load = Load::default();
+    for seed in 1..=CONNS {
+        let lines = WireLoad::wide("t", seed).decide_lines(512);
+        load.drive(&addr, lines, &samples[0], true);
+    }
     let mut published: u64 = 0;
     let mut ring_dropped: u64 = 0;
-    // Escalate on a noisy median exactly as E17 does: more rounds add
-    // evidence, the 0.95 bar never moves.
-    const MAX_ROUNDS: usize = 4 * ROUNDS;
-    while ratios.len() < MAX_ROUNDS {
-        let off = window();
-        let subscriber = registry.events.subscribe(
-            grbac_core::telemetry::EventBus::DEFAULT_CAPACITY,
-            EventFilter::all(),
-        );
-        let on = window();
-        published += subscriber.published();
-        ring_dropped += subscriber.dropped();
-        drop(subscriber);
-        off_counts.push(off.len() as f64);
-        on_counts.push(on.len() as f64);
-        ratios.push(if off.is_empty() {
-            1.0
-        } else {
-            on.len() as f64 / off.len() as f64
+    let paired = measure::paired(|side| {
+        let subscriber = (side == Side::Treatment).then(|| {
+            registry.events.subscribe(
+                grbac_core::telemetry::EventBus::DEFAULT_CAPACITY,
+                EventFilter::all(),
+            )
         });
-        if ratios.len() >= ROUNDS && median(&mut ratios) >= 0.95 {
-            break;
+        let window = record_window(&samples, WIRE_WINDOW)[0];
+        if let Some(subscriber) = subscriber {
+            published += subscriber.published();
+            ring_dropped += subscriber.dropped();
         }
-    }
-    let throughput_ratio = median(&mut ratios);
+        window
+    });
+    load.join();
+    let throughput_ratio = paired.median_ratio(|window| window.decides as f64);
     assert!(
         throughput_ratio >= 0.95,
         "decide throughput with a live bus subscriber must stay within \
@@ -2447,7 +1864,8 @@ fn e18_live_telemetry() -> Vec<Table> {
             "the subscribed windows must actually publish events"
         );
     }
-    let per_s = WINDOW.as_secs_f64();
+    let per_s =
+        |side| paired.median(side, |window| window.decides as f64) / WIRE_WINDOW.as_secs_f64();
     let mut bus_table = Table::new(
         "E18: wire decide throughput, event-bus subscriber on vs off",
         &[
@@ -2461,16 +1879,12 @@ fn e18_live_telemetry() -> Vec<Table> {
     );
     bus_table.row(&[
         "never-draining".to_owned(),
-        format!("{:.0}", median(&mut off_counts) / per_s),
-        format!("{:.0}", median(&mut on_counts) / per_s),
+        format!("{:.0}", per_s(Side::Baseline)),
+        format!("{:.0}", per_s(Side::Treatment)),
         format!("{throughput_ratio:.3}"),
         published.to_string(),
         ring_dropped.to_string(),
     ]);
-    stop.store(true, Ordering::Release);
-    for driver in drivers {
-        driver.join().expect("driver joins");
-    }
 
     // ---- (2) deny-surge propagation: push plane vs scrape cadence ----
     //
@@ -2492,13 +1906,13 @@ fn e18_live_telemetry() -> Vec<Table> {
         &["decides", "decides_ok", "delivered", "dropped"],
     );
     if grbac_core::telemetry::ENABLED {
-        let mut admin = Client::connect(addr).expect("admin connect");
+        let mut admin = Client::connect(&addr).expect("admin connect");
         let declared = admin
             .request_line(r#"{"op":"declare","tenant":"t","kind":"subject","name":"intruder"}"#)
             .expect("declare");
         assert!(declared.contains("\"ok\":true"), "{declared}");
 
-        let mut watcher = Client::connect(addr).expect("watcher connect");
+        let mut watcher = Client::connect(&addr).expect("watcher connect");
         let subscribed = watcher
             .request_line(r#"{"op":"subscribe","tenants":["t"],"kinds":["decision"]}"#)
             .expect("subscribe");
@@ -2509,8 +1923,9 @@ fn e18_live_telemetry() -> Vec<Table> {
 
         const BURST: usize = 64;
         let surge = {
+            let addr = addr.clone();
             std::thread::spawn(move || {
-                let mut client = Client::connect(addr).expect("surge connect");
+                let mut client = Client::connect(&addr).expect("surge connect");
                 for _ in 0..BURST {
                     let response = client
                         .request_line(
@@ -2558,46 +1973,26 @@ fn e18_live_telemetry() -> Vec<Table> {
         // A tiny ring (capacity 8) and a reader that never reads while
         // a full decide burst lands: the decide path must finish every
         // request, and the unsubscribe receipt must account the loss.
-        let mut stalled = Client::connect(addr).expect("stalled connect");
+        let mut stalled = Client::connect(&addr).expect("stalled connect");
         let subscribed = stalled
             .request_line(r#"{"op":"subscribe","tenants":["t"],"kinds":["decision"],"capacity":8}"#)
             .expect("subscribe");
         assert!(subscribed.contains("\"streaming\":true"), "{subscribed}");
 
         const PRESSURE_DECIDES: usize = 2_048;
-        let load = WireLoad {
-            tenant: "t".to_owned(),
-            subjects: 32,
-            objects: 32,
-            transactions: 4,
-            environment_roles: 16,
-            active_env: 3,
-            seed: 99,
-        };
-        let lines = load.decide_lines(PRESSURE_DECIDES);
-        let mut blaster = Client::connect(addr).expect("blaster connect");
-        let mut decides_ok = 0usize;
-        for line in &lines {
-            let response = blaster.request_line(line).expect("decide under pressure");
-            assert!(
-                response.contains("\"ok\":true"),
-                "a stalled subscriber must never fail a decide: {response}"
-            );
-            decides_ok += 1;
-        }
+        let blasted = Arc::default();
+        let mut blast = Load::default();
+        let lines = WireLoad::wide("t", 99).decide_lines(PRESSURE_DECIDES);
+        blast.drive(&addr, lines, &blasted, false);
+        blast.join();
+        let decides_ok = WindowStats::take(&blasted).decides;
         stalled
             .set_read_timeout(Some(std::time::Duration::from_millis(500)))
             .expect("timeout set");
         let (receipt, _) = stalled.unsubscribe().expect("unsubscribe receipt");
-        let count = |key: &str| -> u64 {
-            match receipt.get("result").and_then(|r| r.get(key)) {
-                Some(serde::Value::UInt(n)) => *n,
-                Some(serde::Value::Int(n)) => *n as u64,
-                other => panic!("unsubscribe receipt missing {key}: {other:?}"),
-            }
-        };
-        let delivered = count("delivered");
-        let dropped = count("dropped");
+        let result = receipt.get("result").expect("unsubscribe result");
+        let count = |key| uint_field(result, key).expect("unsubscribe receipt counts");
+        let (delivered, dropped) = (count("delivered"), count("dropped"));
         assert_eq!(
             decides_ok, PRESSURE_DECIDES,
             "every decide must complete while the subscriber stalls"

@@ -20,39 +20,25 @@
 //! 4. **Slowest stages** — the top-N per-stage timings across all
 //!    traced records.
 
-use grbac_bench::table::Table;
+use grbac_bench::args::Args;
+use grbac_bench::fixtures::home_workload;
+use grbac_bench::table::{self, Table};
 use grbac_core::provenance::{replay_all, slowest_stages, ForensicQuery};
 use grbac_core::rule::Effect;
 use grbac_home::scenario::paper_household;
-use grbac_home::workload::{execute, generate, WorkloadConfig};
+use grbac_home::workload::{execute, generate};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| args.iter().any(|a| a == name);
-    let opt = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let days: u32 = opt("--days").map_or(7, |v| v.parse().expect("--days takes an integer"));
-    let capacity: usize =
-        opt("--capacity").map_or(4096, |v| v.parse().expect("--capacity takes an integer"));
-    let top: usize = opt("--top").map_or(10, |v| v.parse().expect("--top takes an integer"));
-    let subject_name = opt("--subject");
-    let json = flag("--json");
+    let args = Args::from_env();
+    let days: u32 = args.parsed("--days", 7);
+    let capacity: usize = args.parsed("--capacity", 4096);
+    let top: usize = args.parsed("--top", 10);
+    let subject_name = args.value("--subject");
+    let json = args.flag("--json");
 
     let mut home = paper_household().expect("paper household builds");
     home.engine_mut().set_flight_recorder_capacity(capacity);
-    let events = generate(
-        &home,
-        &WorkloadConfig {
-            days,
-            requests_per_person_per_day: 50,
-            move_probability: 0.3,
-            seed: 2000,
-        },
-    );
+    let events = generate(&home, &home_workload(days));
     let stats = execute(&mut home, &events).expect("replay succeeds");
     if !json {
         eprintln!(
@@ -105,7 +91,7 @@ fn main() {
     let mut traced_q = ForensicQuery::any();
     traced_q.traced_only = true;
     query_table.row(&["traced_only".into(), count(&traced_q)]);
-    if let Some(name) = &subject_name {
+    if let Some(name) = subject_name {
         let person = home
             .person(name)
             .unwrap_or_else(|_| panic!("no resident named {name:?} in the paper household"));
@@ -179,14 +165,5 @@ fn main() {
     }
     tables.push(slow);
 
-    if json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&tables).expect("tables serialize")
-        );
-    } else {
-        for table in &tables {
-            println!("{}", table.render());
-        }
-    }
+    table::print(&tables, json);
 }

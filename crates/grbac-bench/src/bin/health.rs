@@ -19,117 +19,37 @@
 //! 4. **Alert log** — every watchdog alert the run raised, with its
 //!    observed rate, learned baseline, and severity.
 
-use grbac_bench::table::Table;
+use grbac_bench::args::Args;
+use grbac_bench::fixtures::{fault_onset_replay, home_workload, inject_dead_rule};
+use grbac_bench::table::{self, Table};
 use grbac_core::analysis::health_report;
-use grbac_core::degraded::DegradedMode;
-use grbac_core::rule::RuleDef;
-use grbac_core::telemetry::WatchdogConfig;
 use grbac_env::fault::{FaultPlan, FaultRates};
-use grbac_env::resilient::ResilienceConfig;
 use grbac_home::scenario::paper_household;
-use grbac_home::workload::{generate, WorkloadConfig, WorkloadEvent};
+use grbac_home::workload::generate;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| args.iter().any(|a| a == name);
-    let opt = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let days: u32 = opt("--days").map_or(7, |v| v.parse().expect("--days takes an integer"));
-    let top: usize = opt("--top").map_or(10, |v| v.parse().expect("--top takes an integer"));
-    let error_rate: f64 =
-        opt("--error-rate").map_or(0.1, |v| v.parse().expect("--error-rate takes a float"));
-    let json = flag("--json");
+    let args = Args::from_env();
+    let days: u32 = args.parsed("--days", 7);
+    let top: usize = args.parsed("--top", 10);
+    let error_rate: f64 = args.parsed("--error-rate", 0.1);
+    let json = args.flag("--json");
 
     let mut home = paper_household().expect("paper household builds");
-    home.engine_mut()
-        .set_degraded_mode(DegradedMode::fail_closed());
-    let vocab = *home.vocab();
+    let injected = inject_dead_rule(&mut home);
 
-    // The injected dead-in-practice rule: statically live (the child
-    // role has members, nothing shadows it), gated on an environment
-    // role no provider definition ever activates.
-    let eclipse = home
-        .engine_mut()
-        .declare_environment_role("solar_eclipse")
-        .expect("fresh role name");
-    let injected = home
-        .engine_mut()
-        .add_rule(
-            RuleDef::permit()
-                .named("eclipse viewing")
-                .subject_role(vocab.child)
-                .object_role(vocab.entertainment_device)
-                .transaction(vocab.operate)
-                .when(eclipse),
-        )
-        .expect("rule refers to declared ids");
-
-    // Same shape as experiment E13: watchdog ticking every 100 events,
-    // fault onset at the halfway mark.
-    home.install_watchdog(WatchdogConfig {
-        deviation_floor: 0.002,
-        warmup_ticks: 8,
-        min_decisions: 60,
-        min_polls: 60,
-        ..WatchdogConfig::default()
-    });
-    let events = generate(
-        &home,
-        &WorkloadConfig {
-            days,
-            requests_per_person_per_day: 50,
-            move_probability: 0.3,
-            seed: 2000,
-        },
-    );
-    let onset = events.len() / 2;
-    let mut requests = 0u64;
-    let mut permits = 0u64;
-    for (i, event) in events.iter().enumerate() {
-        if i == onset {
-            home.watchdog_tick();
-            home.install_fault_layer(
-                FaultPlan::random(FaultRates::errors_only(error_rate), 4110),
-                ResilienceConfig {
-                    max_retries: 1,
-                    failure_threshold: 3,
-                    open_cooldown_s: 300,
-                    ..ResilienceConfig::default()
-                },
-            );
-        }
-        home.advance_to(event.at());
-        match event {
-            WorkloadEvent::Move { subject, zone, .. } => home.place(*subject, *zone),
-            WorkloadEvent::Request {
-                subject,
-                transaction,
-                object,
-                ..
-            } => {
-                requests += 1;
-                if home
-                    .request(*subject, *transaction, *object)
-                    .expect("workload ids are declared")
-                    .is_permitted()
-                {
-                    permits += 1;
-                }
-            }
-        }
-        if (i + 1) % 100 == 0 {
-            home.watchdog_tick();
-        }
-    }
+    // The same replay as experiment E13: fail-closed, watchdog ticking
+    // every 100 events, fault onset at the halfway mark.
+    let events = generate(&home, &home_workload(days));
+    let plan = FaultPlan::random(FaultRates::errors_only(error_rate), 4110);
+    let replay = fault_onset_replay(&mut home, &events, plan);
     if !json {
         eprintln!(
-            "mediated {requests} requests over {days} day(s): {permits} permits, {} denies; \
-             fault layer (error rate {error_rate}) from event {onset}",
-            requests - permits
+            "mediated {} requests over {days} day(s): {} permits, {} denies; \
+             fault layer (error rate {error_rate}) from event {}",
+            replay.requests,
+            replay.permits,
+            replay.requests - replay.permits,
+            replay.onset
         );
     }
 
@@ -247,14 +167,5 @@ fn main() {
     .expect("installed above");
     tables.push(alerts);
 
-    if json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&tables).expect("tables serialize")
-        );
-    } else {
-        for table in &tables {
-            println!("{}", table.render());
-        }
-    }
+    table::print(&tables, json);
 }

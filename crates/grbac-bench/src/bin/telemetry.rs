@@ -10,42 +10,31 @@
 //! instead emit the exact exporter payloads an operator would scrape,
 //! so the binary doubles as a smoke test for both wire formats.
 
-use grbac_bench::table::Table;
+use grbac_bench::args::Args;
+use grbac_bench::fixtures::home_workload;
+use grbac_bench::table::{self, Table};
 use grbac_core::telemetry::{Exporter, JsonExporter, PrometheusExporter};
 use grbac_home::scenario::paper_household;
-use grbac_home::workload::{execute, execute_batched, generate, WorkloadConfig};
+use grbac_home::workload::{execute, execute_batched, generate};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| args.iter().any(|a| a == name);
-    let days: u32 = args
-        .iter()
-        .position(|a| a == "--days")
-        .and_then(|i| args.get(i + 1))
-        .map_or(7, |v| v.parse().expect("--days takes an integer"));
+    let args = Args::from_env();
+    let days: u32 = args.parsed("--days", 7);
 
     let mut home = paper_household().expect("paper household builds");
-    let events = generate(
-        &home,
-        &WorkloadConfig {
-            days,
-            requests_per_person_per_day: 50,
-            move_probability: 0.3,
-            seed: 2000,
-        },
-    );
-    let stats = if flag("--batched") {
+    let events = generate(&home, &home_workload(days));
+    let stats = if args.flag("--batched") {
         execute_batched(&mut home, &events).expect("replay succeeds")
     } else {
         execute(&mut home, &events).expect("replay succeeds")
     };
     let snapshot = home.engine().metrics_snapshot();
 
-    if flag("--prometheus") {
+    if args.flag("--prometheus") {
         print!("{}", PrometheusExporter.export(&snapshot));
         return;
     }
-    if flag("--json") {
+    if args.flag("--json") {
         println!("{}", JsonExporter.export(&snapshot));
         return;
     }
@@ -62,7 +51,6 @@ fn main() {
     for (name, value) in &snapshot.gauges {
         counters.row(&[name.clone(), value.to_string()]);
     }
-    println!("{}", counters.render());
 
     let mut histograms = Table::new("Histograms", &["metric", "count", "sum", "mean"]);
     for (name, h) in &snapshot.histograms {
@@ -73,7 +61,6 @@ fn main() {
             format!("{:.1}", h.mean()),
         ]);
     }
-    println!("{}", histograms.render());
 
     let mut keyed = Table::new("Keyed counters", &["metric", "label", "value"]);
     for (name, series) in &snapshot.keyed {
@@ -85,9 +72,9 @@ fn main() {
             ]);
         }
     }
-    println!("{}", keyed.render());
+    table::print(&[counters, histograms, keyed], false);
 
-    if flag("--trace") {
+    if args.flag("--trace") {
         let vocab = *home.vocab();
         let alice = home.person("alice").expect("paper household").subject();
         let tv = home.device("tv").expect("paper household").object();

@@ -1,10 +1,20 @@
-//! Deterministic system builders shared by benches and the
-//! `experiments` binary.
+//! Deterministic system builders and workload presets shared by the
+//! benches, the `experiments` binary and the consoles.
 
+use std::collections::BTreeMap;
+
+use grbac_core::degraded::DegradedMode;
 use grbac_core::engine::{AccessRequest, Grbac};
 use grbac_core::environment::EnvironmentSnapshot;
-use grbac_core::id::{ObjectId, RoleId, SubjectId, TransactionId};
+use grbac_core::id::{ObjectId, RoleId, RuleId, SubjectId, TransactionId};
 use grbac_core::rule::RuleDef;
+use grbac_core::telemetry::WatchdogConfig;
+use grbac_env::fault::{FaultPlan, FaultRates};
+use grbac_env::resilient::ResilienceConfig;
+use grbac_home::chaos::{run_chaos, ChaosReport};
+use grbac_home::scenario::paper_household;
+use grbac_home::workload::{generate, WorkloadConfig, WorkloadEvent};
+use grbac_home::AwareHome;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
@@ -86,6 +96,20 @@ impl Default for SyntheticConfig {
             transactions: 4,
             seed: 0,
         }
+    }
+}
+
+/// The policy shape E5, E10 and E13–E18 measure: `rules` rules over 32
+/// subject roles, 32 object roles and 16 environment roles, the rest
+/// [`SyntheticConfig::default`].
+#[must_use]
+pub fn wide(rules: usize) -> SyntheticConfig {
+    SyntheticConfig {
+        rules,
+        subject_roles: 32,
+        object_roles: 32,
+        environment_roles: 16,
+        ..SyntheticConfig::default()
     }
 }
 
@@ -230,6 +254,187 @@ pub fn deep_hierarchy(depth: usize) -> (Grbac, RoleId, RoleId) {
         current = role;
     }
     (engine, current, root)
+}
+
+/// The E9 Aware Home workload over `days` days, which E11–E13 and the
+/// consoles replay: 50 requests per person per day, a 0.3 chance of
+/// moving rooms between requests, seed 2000.
+#[must_use]
+pub fn home_workload(days: u32) -> WorkloadConfig {
+    WorkloadConfig {
+        days,
+        requests_per_person_per_day: 50,
+        move_probability: 0.3,
+        seed: 2000,
+    }
+}
+
+/// The provider resilience of E11's fault runs: one retry, and a
+/// breaker that opens after 3 failures for 300 s.
+fn chaos_resilience() -> ResilienceConfig {
+    ResilienceConfig {
+        max_retries: 1,
+        failure_threshold: 3,
+        open_cooldown_s: 300,
+        ..ResilienceConfig::default()
+    }
+}
+
+/// E11's three degraded postures, named as the tables print them.
+#[must_use]
+pub fn degraded_postures() -> [(&'static str, DegradedMode); 3] {
+    [
+        ("fail_closed", DegradedMode::fail_closed()),
+        ("fail_open(half_life=30m)", DegradedMode::fail_open(1800)),
+        (
+            "last_known_good(max_age=1h)",
+            DegradedMode::last_known_good(3600),
+        ),
+    ]
+}
+
+/// An E11 chaos week: a household whose provider fails at error `rate`
+/// (fault seed `seed`) mediates a week of [`home_workload`] under
+/// `posture`, against a fault-free twin.
+///
+/// # Panics
+///
+/// If the run fails to mediate a request.
+#[must_use]
+pub fn chaos_week(rate: f64, seed: u64, posture: DegradedMode) -> (AwareHome, ChaosReport) {
+    let mut faulty = paper_household().expect("paper household builds");
+    let mut oracle = paper_household().expect("paper household builds");
+    let events = generate(&faulty, &home_workload(7));
+    let plan = FaultPlan::random(FaultRates::errors_only(rate), seed);
+    let report = run_chaos(
+        &mut faulty,
+        &mut oracle,
+        &events,
+        plan,
+        chaos_resilience(),
+        posture,
+    )
+    .expect("chaos run mediates");
+    (faulty, report)
+}
+
+/// Adds E13's injected dead-in-practice rule to `home`: a permit gated
+/// on `solar_eclipse`, an environment role no provider ever activates.
+/// Static analysis calls it live (its subject role has members, nothing
+/// shadows it); only traffic shows it never fires.
+///
+/// # Panics
+///
+/// If `home` already declares `solar_eclipse`.
+pub fn inject_dead_rule(home: &mut AwareHome) -> RuleId {
+    let vocab = *home.vocab();
+    let mut engine = home.engine_mut();
+    let eclipse = engine
+        .declare_environment_role("solar_eclipse")
+        .expect("fresh role name");
+    engine
+        .add_rule(
+            RuleDef::permit()
+                .named("eclipse viewing")
+                .subject_role(vocab.child)
+                .object_role(vocab.entertainment_device)
+                .transaction(vocab.operate)
+                .when(eclipse),
+        )
+        .expect("rule refers to declared ids")
+}
+
+/// What [`fault_onset_replay`] saw.
+#[derive(Debug, Default)]
+pub struct OnsetReplay {
+    /// Index of the event at which the fault layer switched on.
+    pub onset: usize,
+    /// Requests mediated.
+    pub requests: u64,
+    /// Requests permitted.
+    pub permits: u64,
+    /// Watchdog ticks, the one at the onset included.
+    pub ticks: u64,
+    /// Alerts raised up to and including the tick at the onset.
+    pub pre_fault_alerts: u64,
+    /// Alerts raised after the onset, per alert kind.
+    pub fault_alerts: BTreeMap<&'static str, u64>,
+}
+
+/// E13's fault-onset replay, which the `health` console shares: `home`
+/// mediates `events` fail-closed, with a watchdog ticking every 100
+/// events. At the halfway mark one more tick closes the window that
+/// straddles the onset, so pre-fault traffic cannot dilute the first
+/// faulty window, and then `plan` switches on under E11's provider
+/// resilience.
+///
+/// The watchdog's deviation floor is tighter than the default: degraded
+/// and staleness rates are near-constant zero on healthy traffic, so
+/// even the ~1% surge a 10% error rate produces is anomalous. The noisy
+/// signals (deny rate, flaps) are still governed by their learned
+/// deviation, which dominates this floor, and the longer warm-up lets
+/// that deviation absorb the household's daily rhythm (morning role
+/// flips span ~3 ticks a day) before alerts arm. `min_decisions` and
+/// `min_polls` at 60 skip the short remainder window the onset tick
+/// leaves behind: a ~40-decision window carries binomial sampling
+/// noise larger than any learned deviation.
+///
+/// # Panics
+///
+/// If a request names an id the home does not know.
+pub fn fault_onset_replay(
+    home: &mut AwareHome,
+    events: &[WorkloadEvent],
+    plan: FaultPlan,
+) -> OnsetReplay {
+    home.engine_mut()
+        .set_degraded_mode(DegradedMode::fail_closed());
+    home.install_watchdog(WatchdogConfig {
+        deviation_floor: 0.002,
+        warmup_ticks: 8,
+        min_decisions: 60,
+        min_polls: 60,
+        ..WatchdogConfig::default()
+    });
+    let onset = events.len() / 2;
+    let mut replay = OnsetReplay {
+        onset,
+        ..OnsetReplay::default()
+    };
+    for (i, event) in events.iter().enumerate() {
+        if i == onset {
+            replay.ticks += 1;
+            replay.pre_fault_alerts += home.watchdog_tick().len() as u64;
+            home.install_fault_layer(plan.clone(), chaos_resilience());
+        }
+        home.advance_to(event.at());
+        match event {
+            WorkloadEvent::Move { subject, zone, .. } => home.place(*subject, *zone),
+            WorkloadEvent::Request {
+                subject,
+                transaction,
+                object,
+                ..
+            } => {
+                replay.requests += 1;
+                let decision = home.request(*subject, *transaction, *object);
+                if decision.expect("workload ids are declared").is_permitted() {
+                    replay.permits += 1;
+                }
+            }
+        }
+        if (i + 1) % 100 == 0 {
+            replay.ticks += 1;
+            for alert in home.watchdog_tick() {
+                if i < onset {
+                    replay.pre_fault_alerts += 1;
+                } else {
+                    *replay.fault_alerts.entry(alert.kind.name()).or_default() += 1;
+                }
+            }
+        }
+    }
+    replay
 }
 
 #[cfg(test)]

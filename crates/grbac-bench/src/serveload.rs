@@ -1,17 +1,23 @@
 //! Wire-level load generation for the `grbac-serve` policy service:
 //! deterministic NDJSON request streams against the names
-//! [`synthetic_grbac`](crate::fixtures::synthetic_grbac) declares, a
-//! latency recorder for windowed measurements, and the percentile
-//! arithmetic E16 and the `serve_load` binary share.
+//! [`synthetic_grbac`] declares, a self-hosted server, closed-loop
+//! decide drivers, a policy-churn connection, and the latency windows
+//! and percentile arithmetic that E16–E18 and the `serve_load` binary
+//! share.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
+use grbac_serve::{Client, PolicyService, ServeServer};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
+use crate::fixtures::{synthetic_grbac, wide, SyntheticConfig};
+
 /// Shape of a decide-traffic stream against one tenant whose engine
-/// was built by [`synthetic_grbac`](crate::fixtures::synthetic_grbac):
+/// was built by [`synthetic_grbac`]:
 /// the name pools (`s_{i}`, `o_{i}`, `t_{i}`, `er_{i}`) mirror the
 /// fixture's deterministic naming, so a stream generated from the
 /// same counts always resolves.
@@ -34,6 +40,22 @@ pub struct WireLoad {
 }
 
 impl WireLoad {
+    /// The stream E16–E18 and `serve_load` send to a tenant whose policy
+    /// is [`wide`]: its 32 subjects, 32 objects, 4 transactions and 16
+    /// environment roles, 3 of them active per request.
+    #[must_use]
+    pub fn wide(tenant: &str, seed: u64) -> Self {
+        Self {
+            tenant: tenant.to_owned(),
+            subjects: 32,
+            objects: 32,
+            transactions: 4,
+            environment_roles: 16,
+            active_env: 3,
+            seed,
+        }
+    }
+
     /// `n` decide request lines, deterministic under the seed.
     #[must_use]
     pub fn decide_lines(&self, n: usize) -> Vec<String> {
@@ -124,57 +146,173 @@ pub fn parse_rule_id(response: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
-/// Gated latency sink shared between load threads and the measuring
-/// thread: threads always run (so thread count and connection state
-/// are identical across measurement conditions) but samples are kept
-/// only while `recording` is on — the same discipline as E15's
-/// always-running scraper.
-#[derive(Debug, Default)]
-pub struct LatencyRecorder {
-    samples: Mutex<Vec<u64>>,
-    recording: AtomicBool,
-    total: AtomicU64,
+/// Serves one [`wide`] policy of `rules` rules per `(name, seed)` from a
+/// fresh [`PolicyService`] on an ephemeral loopback port, and returns
+/// the port's address too.
+///
+/// # Panics
+///
+/// If a tenant name repeats or no loopback port can be bound.
+pub fn self_host<N: AsRef<str>>(
+    rules: usize,
+    tenants: impl IntoIterator<Item = (N, u64)>,
+) -> (Arc<PolicyService>, ServeServer, String) {
+    let service = Arc::new(PolicyService::with_defaults());
+    for (name, seed) in tenants {
+        let policy = SyntheticConfig {
+            seed,
+            ..wide(rules)
+        };
+        service
+            .create_tenant_with_engine(name.as_ref(), synthetic_grbac(&policy).engine)
+            .expect("tenant provisioned");
+    }
+    let server = ServeServer::serve(Arc::clone(&service), "127.0.0.1:0").expect("ephemeral bind");
+    let addr = server.local_addr().to_string();
+    (service, server, addr)
 }
 
-impl LatencyRecorder {
-    /// A recorder that starts muted.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
+/// Background wire connections that share one stop flag: closed-loop
+/// decide drivers and policy churn.
+#[derive(Debug, Default)]
+pub struct Load {
+    stop: Arc<AtomicBool>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl Load {
+    /// Adds a connection to `addr` that sends `lines` in order and
+    /// pushes each round trip's latency onto `samples`: once through
+    /// when `cycle` is false, over and over until [`Load::join`] when it
+    /// is true. A failed connection, or a decide not answered
+    /// `"ok":true`, panics the thread.
+    pub fn drive(&mut self, addr: &str, lines: Vec<String>, samples: &Arc<Samples>, cycle: bool) {
+        let (addr, samples) = (addr.to_owned(), Arc::clone(samples));
+        let stop = Arc::clone(&self.stop);
+        self.threads.push(std::thread::spawn(move || {
+            let mut client = Client::connect(&addr).expect("driver connect");
+            loop {
+                for line in &lines {
+                    if cycle && stop.load(Ordering::Acquire) {
+                        return;
+                    }
+                    let sent = Instant::now();
+                    let response = client.request_line(line).expect("wire decide");
+                    assert!(response.contains("\"ok\":true"), "{response}");
+                    let ns = sent.elapsed().as_nanos() as u64;
+                    samples.lock().expect("samples lock").push(ns);
+                }
+                if !cycle {
+                    return;
+                }
+            }
+        }));
     }
 
-    /// Records one latency (ns) if recording is on; always counts the
-    /// operation toward the lifetime total.
-    pub fn record(&self, ns: u64) {
-        self.total.fetch_add(1, Ordering::Relaxed);
-        if self.recording.load(Ordering::Acquire) {
-            self.samples
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .push(ns);
+    /// Adds an `add_rule`/`remove_rule` storm on `tenant`, a [`wide`]
+    /// policy: while `active` is set, bursts of 8 pairs with a 2 ms
+    /// breath after each, so churn is sustained but the policy never
+    /// grows. The connection stays open while the storm pauses, so only
+    /// the edits differ between windows. Each acknowledged pair adds 2
+    /// to `edits`; a refused edit panics the thread.
+    pub fn churn(
+        &mut self,
+        addr: &str,
+        tenant: &str,
+        active: &Arc<AtomicBool>,
+        edits: &Arc<AtomicU64>,
+    ) {
+        let (addr, load) = (addr.to_owned(), WireLoad::wide(tenant, 0));
+        let (active, edits) = (Arc::clone(active), Arc::clone(edits));
+        let stop = Arc::clone(&self.stop);
+        self.threads.push(std::thread::spawn(move || {
+            let mut client = Client::connect(&addr).expect("churn connect");
+            let mut i = 0usize;
+            while !stop.load(Ordering::Acquire) {
+                if active.load(Ordering::Acquire) {
+                    for _ in 0..8 {
+                        let added = client
+                            .request_line(&load.add_rule_line(i, 32))
+                            .expect("churn add");
+                        let rule = parse_rule_id(&added)
+                            .unwrap_or_else(|| panic!("add_rule refused: {added}"));
+                        let removed = client
+                            .request_line(&remove_rule_line(&load.tenant, rule))
+                            .expect("churn remove");
+                        assert!(removed.contains("\"removed\":true"), "{removed}");
+                        edits.fetch_add(2, Ordering::Relaxed);
+                        i += 1;
+                    }
+                }
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        }));
+    }
+
+    /// Stops cycling drivers and churn, and waits for every connection.
+    ///
+    /// # Panics
+    ///
+    /// If a connection's thread panicked.
+    pub fn join(self) {
+        self.stop.store(true, Ordering::Release);
+        for thread in self.threads {
+            thread.join().expect("load thread");
         }
     }
+}
 
-    /// Turns sample collection on or off.
-    pub fn set_recording(&self, on: bool) {
-        self.recording.store(on, Ordering::Release);
-    }
+/// Round-trip latencies (ns) that load threads push and windows take.
+pub type Samples = Mutex<Vec<u64>>;
 
-    /// Takes the collected samples, leaving the recorder empty.
+/// What one window of [`Samples`] saw.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WindowStats {
+    /// Round trips recorded.
+    pub decides: usize,
+    /// Median round trip in µs (0 for an empty window).
+    pub p50_us: f64,
+    /// 99th-percentile round trip in µs (0 for an empty window).
+    pub p99_us: f64,
+}
+
+impl WindowStats {
+    /// Takes `samples` and returns their count and percentiles.
+    ///
+    /// # Panics
+    ///
+    /// If a load thread panicked while pushing a sample.
     #[must_use]
-    pub fn drain(&self) -> Vec<u64> {
-        std::mem::take(
-            &mut self
-                .samples
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-        )
+    pub fn take(samples: &Samples) -> Self {
+        let mut samples = std::mem::take(&mut *samples.lock().expect("samples lock"));
+        Self {
+            decides: samples.len(),
+            p50_us: percentile_us(&mut samples, 50.0),
+            p99_us: percentile_us(&mut samples, 99.0),
+        }
     }
+}
 
-    /// Operations recorded over the recorder's lifetime (on or off).
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.total.load(Ordering::Relaxed)
+/// Records one `span`-long window on every sample set at once: drops
+/// what they held, waits `span`, and returns each one's window.
+pub fn record_window(samples: &[Arc<Samples>], span: Duration) -> Vec<WindowStats> {
+    for samples in samples {
+        let _ = WindowStats::take(samples);
+    }
+    std::thread::sleep(span);
+    samples
+        .iter()
+        .map(|samples| WindowStats::take(samples))
+        .collect()
+}
+
+/// The unsigned integer field `key` of a JSON object.
+#[must_use]
+pub fn uint_field(object: &serde_json::Value, key: &str) -> Option<u64> {
+    match object.get(key)? {
+        serde_json::Value::UInt(n) => Some(*n),
+        serde_json::Value::Int(n) => u64::try_from(*n).ok(),
+        _ => None,
     }
 }
 
@@ -227,16 +365,78 @@ mod tests {
     }
 
     #[test]
-    fn recorder_gates_samples_but_counts_everything() {
-        let recorder = LatencyRecorder::new();
-        recorder.record(10);
-        recorder.set_recording(true);
-        recorder.record(20);
-        recorder.record(30);
-        recorder.set_recording(false);
-        recorder.record(40);
-        assert_eq!(recorder.drain(), vec![20, 30]);
-        assert_eq!(recorder.total(), 4);
+    fn a_window_takes_what_was_pushed_since_the_last() {
+        let samples = Samples::default();
+        samples.lock().unwrap().extend([3_000, 1_000, 2_000]);
+        let window = WindowStats::take(&samples);
+        assert_eq!(
+            (window.decides, window.p50_us, window.p99_us),
+            (3, 2.0, 3.0)
+        );
+        let empty = WindowStats::take(&samples);
+        assert_eq!((empty.decides, empty.p50_us, empty.p99_us), (0, 0.0, 0.0));
+    }
+
+    #[test]
+    fn uint_fields_read_either_integer_kind() {
+        let receipt: serde_json::Value =
+            serde_json::from_str(r#"{"delivered":8,"dropped":-1,"name":"x"}"#).unwrap();
+        assert_eq!(uint_field(&receipt, "delivered"), Some(8));
+        assert_eq!(uint_field(&receipt, "dropped"), None);
+        assert_eq!(uint_field(&receipt, "name"), None);
+        assert_eq!(uint_field(&receipt, "missing"), None);
+    }
+
+    #[test]
+    fn drivers_send_each_line_once_or_cycle_until_joined() {
+        let (_service, server, addr) = self_host(64, [("a", 0)]);
+        let samples = [Arc::default()];
+        let mut load = Load::default();
+        for seed in 0..2 {
+            let lines = WireLoad::wide("a", seed).decide_lines(10);
+            load.drive(&addr, lines, &samples[0], false);
+        }
+        load.join();
+        assert_eq!(WindowStats::take(&samples[0]).decides, 20);
+
+        let mut load = Load::default();
+        let lines = WireLoad::wide("a", 3).decide_lines(4);
+        load.drive(&addr, lines, &samples[0], true);
+        let window = record_window(&samples, Duration::from_millis(100))[0];
+        load.join();
+        assert!(window.decides > 4, "{window:?}");
+        assert!(window.p99_us >= window.p50_us && window.p50_us > 0.0);
+        server.shutdown();
+    }
+
+    #[test]
+    fn churn_counts_acknowledged_edits_and_leaves_the_policy_as_it_was() {
+        let (service, server, addr) = self_host(64, [("a", 0)]);
+        let status = || service.handle_line(r#"{"op":"status","tenant":"a"}"#);
+        assert!(status().contains("\"rules\":64"), "{}", status());
+        let (active, edits) = (Arc::new(AtomicBool::new(true)), Arc::new(AtomicU64::new(0)));
+        let mut load = Load::default();
+        load.churn(&addr, "a", &active, &edits);
+        while edits.load(Ordering::Relaxed) < 32 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        active.store(false, Ordering::Release);
+        load.join();
+        let edits = edits.load(Ordering::Relaxed);
+        assert!(edits >= 32 && edits % 2 == 0, "{edits}");
+        assert!(status().contains("\"rules\":64"), "{}", status());
+        server.shutdown();
+    }
+
+    #[test]
+    #[should_panic(expected = "load thread")]
+    fn churn_fails_on_a_refused_edit() {
+        let (_service, _server, addr) = self_host(64, [("a", 0)]);
+        let active = Arc::new(AtomicBool::new(true));
+        let mut load = Load::default();
+        load.churn(&addr, "no_such_tenant", &active, &Arc::default());
+        std::thread::sleep(Duration::from_millis(50));
+        load.join();
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Minimal aligned-table rendering for the `experiments` binary.
+//! Minimal aligned-table rendering for the harness binaries.
 
 /// A simple text table with a title and aligned columns.
 #[derive(Debug, Clone, serde::Serialize)]
@@ -24,24 +24,6 @@ impl Table {
         let mut row: Vec<String> = cells.to_vec();
         row.resize(self.headers.len(), String::new());
         self.rows.push(row);
-    }
-
-    /// Convenience: appends a row of displayable cells.
-    pub fn row_display(&mut self, cells: &[&dyn std::fmt::Display]) {
-        let cells: Vec<String> = cells.iter().map(ToString::to_string).collect();
-        self.row(&cells);
-    }
-
-    /// Number of data rows.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when no rows were added.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Renders the table.
@@ -79,6 +61,21 @@ impl Table {
     }
 }
 
+/// Prints `tables` to stdout: rendered one after another, or with
+/// `json` as one JSON document.
+pub fn print(tables: &[Table], json: bool) {
+    if json {
+        println!(
+            "{}",
+            serde_json::to_string_pretty(tables).expect("tables serialize")
+        );
+    } else {
+        for table in tables {
+            println!("{}", table.render());
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,8 +89,6 @@ mod tests {
         assert!(rendered.starts_with("## demo\n"));
         assert!(rendered.contains("name           value"));
         assert!(rendered.contains("a_longer_name  22"));
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
     }
 
     #[test]
@@ -101,12 +96,5 @@ mod tests {
         let mut t = Table::new("x", &["a", "b", "c"]);
         t.row(&["1".into()]);
         assert_eq!(t.rows[0].len(), 3);
-    }
-
-    #[test]
-    fn row_display_stringifies() {
-        let mut t = Table::new("x", &["n", "f"]);
-        t.row_display(&[&42, &1.5]);
-        assert_eq!(t.rows[0], vec!["42".to_owned(), "1.5".to_owned()]);
     }
 }
